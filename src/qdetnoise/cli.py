@@ -9,14 +9,18 @@ Five subcommands map onto the library layers:
 * ``mech``        motional sideband spectra, integrated weights, asymmetry
 * ``mimo-check``  determinant test on a file of stacked spectral matrices
 
-Every subcommand accepts the full flag set (irrelevant flags are ignored) so
-that a :class:`RunConfig` always survives the argv round trip.  Output files
-are byte-deterministic: no timestamps, fixed float formatting, a single
-``# config:`` echo line as the only metadata.
+:class:`RunConfig` is the single config schema: each field's metadata holds
+its flag spelling and help, and both :meth:`RunConfig.to_argv` and
+:func:`build_parser` are derived from the fields, so a config always
+survives the argv round trip.  Every subcommand accepts the full flag set
+(irrelevant flags are ignored).  Output files are byte-deterministic: no
+timestamps, fixed float formatting, a single ``# config:`` echo line as the
+only metadata.  One writer, ``_write``, produces both formats.
 
-Exit codes: 0 success, 1 I/O failure, 2 bad configuration or malformed
-input file, 3 constraint violation (including invalid spectral matrices),
-4 physically degenerate regime (no readout gain, unstable spring).
+Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
+non-finite float flag) or malformed input file, 3 constraint violation
+(including invalid spectral matrices), 4 physically degenerate regime (no
+readout gain, unstable spring).
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ import numpy as np
 
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
-from .constraints import Verdict, constraint_report, mimo_quantum_limit
+from .constraints import (
+    Verdict,
+    classify_verdicts,
+    constraint_report,
+    mimo_quantum_limit,
+)
 from .core import CavityParams, InputState, MechOscillator, make_symmetric_grid
 from .errors import GridMismatchError, InvalidMatrixError, QDetNoiseError
 from .netsolve import (
@@ -46,7 +55,7 @@ from .netsolve import (
 
 __all__ = ["RunConfig", "parse_config", "parse_input_state", "build_parser", "main"]
 
-_COMMANDS = ("spectra", "check", "qubit", "mech", "mimo-check")
+_FORMATS = ("csv", "json")
 
 # Columns that are spectral densities and therefore double in the
 # single-sided convention; responses and the frequency axis do not.
@@ -56,69 +65,84 @@ _DENSITY_COLUMNS = frozenset(
 )
 
 
+def _option(default, help: str, flag: str | None = None, **parser_kwargs):
+    """A RunConfig field that is also a command-line option.
+
+    The flag defaults to the field name with dashes; the option's type
+    follows the default's (a bool default makes a switch).
+    """
+    return dataclasses.field(default=default, metadata={
+        "flag": flag, "parser_kwargs": {"help": help, **parser_kwargs}})
+
+
+def _flag(field: dataclasses.Field) -> str:
+    return field.metadata["flag"] or "--" + field.name.replace("_", "-")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """One fully specified batch run.
 
     ``to_argv`` and :func:`parse_config` are exact inverses, which is what
-    makes runs reproducible from the echoed config line alone.
+    makes runs reproducible from the echoed config line alone.  Float values
+    must be finite.
     """
 
     command: str
-    gamma: float = 2.0
-    delta: float = 0.0
-    gbar: float = 1.0
-    theta: float = math.pi / 2
-    omega_max: float = 5.0
-    n_half: int = 100
-    input_state: str = "vacuum"
-    omega_m: float = 1.0
-    gamma_m: float = 1e-6
-    mass: float = 1.0
-    n_occ: float = 0.0
-    window_halfwidth: float = 40.0
-    window_points: int = 4001
-    single_sided: bool = False
-    fmt: str = "csv"
-    out: str | None = None
-    mimo_input: str | None = None
+    gamma: float = _option(2.0, "cavity energy decay rate")
+    delta: float = _option(0.0, "drive detuning from cavity resonance")
+    gbar: float = _option(1.0, "drive-enhanced coupling rate")
+    theta: float = _option(math.pi / 2,
+                           "homodyne angle of the monitored output quadrature")
+    omega_max: float = _option(5.0, "frequency grid half-range")
+    n_half: int = _option(
+        100, "points per half-axis; the grid has 2*n_half + 1 points")
+    input_state: str = _option(
+        "vacuum", "input field state: vacuum | thermal:<n> | squeezed:<r>,<phi>",
+        flag="--input")
+    omega_m: float = _option(1.0, "mechanical resonance frequency")
+    gamma_m: float = _option(1e-6, "intrinsic mechanical damping rate")
+    mass: float = _option(1.0, "oscillator mass")
+    n_occ: float = _option(0.0, "mean thermal occupation of the oscillator")
+    window_halfwidth: float = _option(
+        40.0, "mech window half-width in effective linewidths")
+    window_points: int = _option(4001, "number of grid points in the mech window")
+    single_sided: bool = _option(
+        False, "export omega >= 0 only with doubled spectral densities")
+    fmt: str = _option("csv", "output file format", flag="--format",
+                       choices=_FORMATS)
+    out: str | None = _option(None, "output path (default: <command>.<format>)")
+    mimo_input: str | None = _option(
+        None, "CSV of stacked spectral matrices for mimo-check")
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
+        if self.fmt not in _FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
+        for field in _OPTIONS:
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{_flag(field)} must be finite, got {value!r}")
 
     def to_argv(self) -> list[str]:
         """Serialize back to an argument vector that re-parses identically.
 
         Values ride in ``--flag=value`` form: a separate token like
-        ``-1e-308`` would be mistaken for an option by argparse.
+        ``-1e-308`` would be mistaken for an option by argparse.  ``str`` of
+        a float is its shortest round-tripping repr.
         """
-        argv = [
-            self.command,
-            f"--gamma={self.gamma!r}",
-            f"--delta={self.delta!r}",
-            f"--gbar={self.gbar!r}",
-            f"--theta={self.theta!r}",
-            f"--omega-max={self.omega_max!r}",
-            f"--n-half={self.n_half}",
-            f"--input={self.input_state}",
-            f"--omega-m={self.omega_m!r}",
-            f"--gamma-m={self.gamma_m!r}",
-            f"--mass={self.mass!r}",
-            f"--n-occ={self.n_occ!r}",
-            f"--window-halfwidth={self.window_halfwidth!r}",
-            f"--window-points={self.window_points}",
-            f"--format={self.fmt}",
-        ]
-        if self.single_sided:
-            argv.append("--single-sided")
-        if self.out is not None:
-            argv.append(f"--out={self.out}")
-        if self.mimo_input is not None:
-            argv.append(f"--mimo-input={self.mimo_input}")
+        argv = [self.command]
+        for field in _OPTIONS:
+            value = getattr(self, field.name)
+            if isinstance(value, bool):
+                argv += [_flag(field)] if value else []
+            elif value is not None:
+                argv.append(f"{_flag(field)}={value}")
         return argv
+
+
+_OPTIONS = dataclasses.fields(RunConfig)[1:]
 
 
 def parse_input_state(spec: str) -> InputState:
@@ -139,44 +163,16 @@ def parse_input_state(spec: str) -> InputState:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = RunConfig(command="spectra")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--gamma", type=float, default=defaults.gamma,
-                        help="cavity energy decay rate")
-    shared.add_argument("--delta", type=float, default=defaults.delta,
-                        help="drive detuning from cavity resonance")
-    shared.add_argument("--gbar", type=float, default=defaults.gbar,
-                        help="drive-enhanced coupling rate")
-    shared.add_argument("--theta", type=float, default=defaults.theta,
-                        help="homodyne angle of the monitored output quadrature")
-    shared.add_argument("--omega-max", type=float, default=defaults.omega_max,
-                        help="frequency grid half-range")
-    shared.add_argument("--n-half", type=int, default=defaults.n_half,
-                        help="points per half-axis; the grid has 2*n_half + 1 points")
-    shared.add_argument("--input", dest="input_state", default=defaults.input_state,
-                        help="input field state: vacuum | thermal:<n> | squeezed:<r>,<phi>")
-    shared.add_argument("--omega-m", type=float, default=defaults.omega_m,
-                        help="mechanical resonance frequency")
-    shared.add_argument("--gamma-m", type=float, default=defaults.gamma_m,
-                        help="intrinsic mechanical damping rate")
-    shared.add_argument("--mass", type=float, default=defaults.mass,
-                        help="oscillator mass")
-    shared.add_argument("--n-occ", type=float, default=defaults.n_occ,
-                        help="mean thermal occupation of the oscillator")
-    shared.add_argument("--window-halfwidth", type=float,
-                        default=defaults.window_halfwidth,
-                        help="mech window half-width in effective linewidths")
-    shared.add_argument("--window-points", type=int, default=defaults.window_points,
-                        help="number of grid points in the mech window")
-    shared.add_argument("--single-sided", action="store_true",
-                        default=defaults.single_sided,
-                        help="export omega >= 0 only with doubled spectral densities")
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=defaults.fmt, help="output file format")
-    shared.add_argument("--out", default=None,
-                        help="output path (default: <command>.<format>)")
-    shared.add_argument("--mimo-input", default=None,
-                        help="CSV of stacked spectral matrices for mimo-check")
+    for field in _OPTIONS:
+        if isinstance(field.default, bool):
+            kind = {"action": "store_true"}
+        elif field.default is None:
+            kind = {}
+        else:
+            kind = {"type": type(field.default)}
+        shared.add_argument(_flag(field), dest=field.name, default=field.default,
+                            **kind, **field.metadata["parser_kwargs"])
 
     parser = argparse.ArgumentParser(
         prog="qdetnoise",
@@ -184,23 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "of a cavity position detector.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectra", parents=[shared],
-                   help="tabulate susceptibilities and spectra on a grid")
-    sub.add_parser("check", parents=[shared],
-                   help="audit quantum constraints frequency by frequency")
-    sub.add_parser("qubit", parents=[shared],
-                   help="dispersive readout rates and optimal homodyne angle")
-    sub.add_parser("mech", parents=[shared],
-                   help="motional sideband spectra and asymmetry ratio")
-    sub.add_parser("mimo-check", parents=[shared],
-                   help="determinant test for a file of 2Nx2N spectral matrices")
+    for name, (_, help) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help)
     return parser
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    args = build_parser().parse_args(list(argv))
-    field_names = [f.name for f in dataclasses.fields(RunConfig)]
-    return RunConfig(**{name: getattr(args, name) for name in field_names})
+    return RunConfig(**vars(build_parser().parse_args(list(argv))))
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +204,33 @@ def _output_path(cfg: RunConfig) -> Path:
     return Path(f"{cfg.command}.{cfg.fmt}")
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return "%.16e" % value
+def _write(cfg: RunConfig, columns: dict[str, Sequence],
+           scalars: dict[str, float] | None = None) -> None:
+    """Write one table in the configured format.
 
-
-def _write_csv(cfg: RunConfig, columns: dict[str, Sequence]) -> None:
-    names = list(columns)
-    arrays = [columns[name] for name in names]
-    n_rows = len(arrays[0])
-    lines = [f"# config: {_config_echo(cfg)}", ",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(_cell(arr[i]) for arr in arrays))
-    _output_path(cfg).write_text("\n".join(lines) + "\n",
-                                 encoding="utf-8", newline="\n")
-
-
-def _write_json(cfg: RunConfig, payload: dict) -> None:
-    doc = dict(payload)
-    doc["config"] = dataclasses.asdict(cfg)
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    _output_path(cfg).write_text(text + "\n", encoding="utf-8", newline="\n")
-
-
-def _column_lists(columns: dict[str, Sequence]) -> dict[str, list]:
-    out: dict[str, list] = {}
-    for name, arr in columns.items():
-        out[name] = [v if isinstance(v, str) else float(v) for v in arr]
-    return out
+    Float cells are ``%.16e`` in CSV and shortest-repr numbers in JSON.  CSV
+    repeats each scalar down a column after the others (a table of scalars
+    only is one row); JSON keeps scalars as plain values.  A ``verdict``
+    column holds Verdict members, written by value; JSON adds the most
+    severe one as ``worst_verdict``.
+    """
+    scalars = {name: float(value) for name, value in (scalars or {}).items()}
+    cells = {name: ([v.value for v in col] if name == "verdict" else col.tolist())
+             for name, col in columns.items()}
+    if cfg.fmt == "csv":
+        n_rows = len(next(iter(cells.values()))) if cells else 1
+        cells.update({name: [value] * n_rows for name, value in scalars.items()})
+        row = ",".join("%s" if name == "verdict" else "%.16e" for name in cells)
+        lines = [f"# config: {_config_echo(cfg)}", ",".join(cells),
+                 *map(row.__mod__, zip(*cells.values()))]
+        text = "\n".join(lines)
+    else:
+        doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
+        if "verdict" in columns:
+            doc["worst_verdict"] = Verdict.worst(columns["verdict"]).value
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    with _output_path(cfg).open("w", encoding="utf-8", newline="\n") as fh:
+        print(text, file=fh)  # the final newline without a copy of the text
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +285,7 @@ def cmd_spectra(cfg: RunConfig) -> int:
             name: (2.0 * arr[keep] if name in _DENSITY_COLUMNS else arr[keep])
             for name, arr in columns.items()
         }
-    if cfg.fmt == "csv":
-        _write_csv(cfg, columns)
-    else:
-        _write_json(cfg, _column_lists(columns))
+    _write(cfg, columns)
     return 0
 
 
@@ -323,17 +304,10 @@ def cmd_check(cfg: RunConfig) -> int:
         "correlation_residual": report.correlation_residual,
         "kubo_residual": report.kubo_residual,
         "positivity_margin": report.positivity_margin,
-        "verdict": [v.value for v in report.verdicts],
+        "verdict": report.verdicts,
     }
-    if cfg.fmt == "csv":
-        _write_csv(cfg, columns)
-    else:
-        payload = _column_lists(columns)
-        payload["worst_verdict"] = report.worst_verdict.value
-        _write_json(cfg, payload)
-    if any(v is Verdict.violation for v in report.verdicts):
-        return 3
-    return 0
+    _write(cfg, columns)
+    return 3 if Verdict.violation in report.verdicts else 0
 
 
 def cmd_qubit(cfg: RunConfig) -> int:
@@ -344,10 +318,7 @@ def cmd_qubit(cfg: RunConfig) -> int:
         "ratio": result.ratio,
         "theta_opt": result.theta_opt,
     }
-    if cfg.fmt == "csv":
-        _write_csv(cfg, {name: [value] for name, value in scalars.items()})
-    else:
-        _write_json(cfg, scalars)
+    _write(cfg, {}, scalars)
     return 0
 
 
@@ -360,27 +331,17 @@ def cmd_mech(cfg: RunConfig) -> int:
                           halfwidth_linewidths=cfg.window_halfwidth,
                           n_points=cfg.window_points)
     result = sideband_asymmetry(params, osc, grid)
-    n_rows = grid.points.size
-    if cfg.fmt == "csv":
-        columns = {
-            "omega": grid.points,
-            "spectrum_red": result.spectrum_red.values.real,
-            "spectrum_blue": result.spectrum_blue.values.real,
-            "area_red": np.full(n_rows, result.area_red),
-            "area_blue": np.full(n_rows, result.area_blue),
-            "ratio": np.full(n_rows, result.ratio),
-        }
-        _write_csv(cfg, columns)
-    else:
-        payload = {
-            "omega": [float(v) for v in grid.points],
-            "spectrum_red": [float(v) for v in result.spectrum_red.values.real],
-            "spectrum_blue": [float(v) for v in result.spectrum_blue.values.real],
-            "area_red": result.area_red,
-            "area_blue": result.area_blue,
-            "ratio": result.ratio,
-        }
-        _write_json(cfg, payload)
+    columns = {
+        "omega": grid.points,
+        "spectrum_red": result.spectrum_red.values.real,
+        "spectrum_blue": result.spectrum_blue.values.real,
+    }
+    scalars = {
+        "area_red": result.area_red,
+        "area_blue": result.area_blue,
+        "ratio": result.ratio,
+    }
+    _write(cfg, columns, scalars)
     return 0
 
 
@@ -418,35 +379,27 @@ def cmd_mimo_check(cfg: RunConfig) -> int:
     traces = np.einsum("kii->k", blocks).real
     scale = np.maximum(traces / dim, 0.0) ** dim
     threshold = 1e-9 * np.maximum(scale, np.finfo(float).tiny)
-    verdicts = [
-        (Verdict.quantum_limited if det <= thr else Verdict.above_limit).value
-        for det, thr in zip(dets, threshold)
-    ]
-    columns = {"omega": omega, "det": dets, "verdict": verdicts}
-    if cfg.fmt == "csv":
-        _write_csv(cfg, columns)
-    else:
-        payload = _column_lists(columns)
-        payload["worst_verdict"] = (
-            Verdict.above_limit.value if Verdict.above_limit.value in verdicts
-            else Verdict.quantum_limited.value)
-        _write_json(cfg, payload)
+    # mimo_quantum_limit has accepted every block as positive semidefinite,
+    # so a negative determinant is round-off and the verdict is two-way
+    verdicts = classify_verdicts(np.maximum(dets, 0.0), threshold)
+    _write(cfg, {"omega": omega, "det": dets, "verdict": verdicts})
     return 0
 
 
-_DISPATCH = {
-    "spectra": cmd_spectra,
-    "check": cmd_check,
-    "qubit": cmd_qubit,
-    "mech": cmd_mech,
-    "mimo-check": cmd_mimo_check,
+_COMMANDS = {
+    "spectra": (cmd_spectra, "tabulate susceptibilities and spectra on a grid"),
+    "check": (cmd_check, "audit quantum constraints frequency by frequency"),
+    "qubit": (cmd_qubit, "dispersive readout rates and optimal homodyne angle"),
+    "mech": (cmd_mech, "motional sideband spectra and asymmetry ratio"),
+    "mimo-check": (cmd_mimo_check,
+                   "determinant test for a file of 2Nx2N spectral matrices"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    cfg = parse_config(sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[cfg.command][0](cfg)
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3

@@ -19,9 +19,33 @@ from .netsolve import kubo_check, symmetrize
 
 
 class Verdict(enum.Enum):
+    """Per-frequency classification, listed from least to most severe."""
+
     quantum_limited = "quantum_limited"
     above_limit = "above_limit"
     violation = "violation"
+
+    @classmethod
+    def worst(cls, verdicts) -> "Verdict":
+        """The most severe verdict in ``verdicts``."""
+        return next(v for v in reversed(cls) if v in verdicts)
+
+
+_BY_RANK = np.array(list(Verdict), dtype=object)
+
+
+def classify_verdicts(gap: np.ndarray, threshold: np.ndarray
+                      ) -> tuple[Verdict, ...]:
+    """Classify each gap against its threshold.
+
+    quantum_limited where |gap| <= threshold, above_limit where
+    gap > threshold, and violation where gap < -threshold or where the gap or
+    the threshold is not finite: a value that cannot be compared never passes.
+    """
+    finite = np.isfinite(gap) & np.isfinite(threshold)
+    rank = np.where(~finite | (gap < -threshold), 2,
+                    np.where(gap > threshold, 1, 0))
+    return tuple(_BY_RANK[rank])
 
 
 @dataclass(frozen=True)
@@ -50,8 +74,7 @@ class ConstraintReport:
 
     @property
     def worst_verdict(self) -> Verdict:
-        ranking = [Verdict.quantum_limited, Verdict.above_limit, Verdict.violation]
-        return max(self.verdicts, key=ranking.index)
+        return Verdict.worst(self.verdicts)
 
 
 def _require_valid_detector(susc: SusceptibilitySet, tol: float) -> None:
@@ -79,8 +102,8 @@ def uncertainty_gap(spectra: SpectraSet, susc: SusceptibilitySet,
     if not spectra.symmetrized:
         raise ValueError("uncertainty_gap expects symmetrized spectra")
     _require_valid_detector(susc, detector_tol)
-    gap, _ = _gap_terms(spectra, susc, units)
-    return gap
+    d0, im_term, _ = _gap_terms(spectra, susc, units.hbar)
+    return d0 - np.abs(im_term)
 
 
 def uncertainty_gap_branches(spectra: SpectraSet, susc: SusceptibilitySet,
@@ -92,40 +115,27 @@ def uncertainty_gap_branches(spectra: SpectraSet, susc: SusceptibilitySet,
     auxiliary combination; the absolute value in uncertainty_gap is their
     tighter envelope.
     """
-    hbar = units.hbar
-    d0, im_term = _d0_and_imterm(spectra, susc, hbar)
-    return d0 - hbar * im_term, d0 + hbar * im_term
+    d0, im_term, _ = _gap_terms(spectra, susc, units.hbar)
+    return d0 - im_term, d0 + im_term
 
 
-def _d0_and_imterm(spectra: SpectraSet, susc: SusceptibilitySet,
-                   hbar: float) -> tuple[np.ndarray, np.ndarray]:
+def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of the gap from one read of the five spectra.
+
+    Returns d0 = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2, the signed
+    term hbar Im[S_zf^* chi_zf - chi_ff S_zz], and the scale of the gap: the
+    largest magnitude among its four constituents.
+    """
     s_zz = spectra.s_zz.values.real
-    s_ff = spectra.s_ff.values.real
     s_zf = spectra.s_zf.values
     chi_zf = susc.chi_zf.values
-    chi_ff = susc.chi_ff.values
-    d0 = s_zz * s_ff - np.abs(s_zf) ** 2 - 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
-    im_term = np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
-    return d0, im_term
-
-
-def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet,
-               units: UnitConvention) -> tuple[np.ndarray, np.ndarray]:
-    hbar = units.hbar
-    s_zz = spectra.s_zz.values.real
-    s_ff = spectra.s_ff.values.real
-    s_zf = spectra.s_zf.values
-    chi_zf = susc.chi_zf.values
-    chi_ff = susc.chi_ff.values
-    d0, im_term = _d0_and_imterm(spectra, susc, hbar)
-    gap = d0 - hbar * np.abs(im_term)
-    scale = np.maximum.reduce([
-        np.abs(s_zz * s_ff),
-        np.abs(s_zf) ** 2,
-        0.25 * hbar ** 2 * np.abs(chi_zf) ** 2,
-        hbar * np.abs(im_term),
-    ])
-    return gap, scale
+    zz_ff = s_zz * spectra.s_ff.values.real
+    zf_sq = np.abs(s_zf) ** 2
+    chi_sq = 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
+    im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - susc.chi_ff.values * s_zz)
+    scale = np.maximum.reduce([np.abs(zz_ff), zf_sq, chi_sq, np.abs(im_term)])
+    return zz_ff - zf_sq - chi_sq, im_term, scale
 
 
 def quantum_limit_residuals(norm: NormalizedSpectra, chi_ff: ComplexSpectrum,
@@ -191,14 +201,19 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray,
     """Determinant of the spectral matrix per frequency.
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
-    thermal admixtures push it strictly positive. The input must be Hermitian
-    positive semidefinite at every frequency.
+    thermal admixtures push it strictly positive. The input must be finite,
+    Hermitian and positive semidefinite at every frequency.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim == 2:
         mat = mat[None, :, :]
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2:
         raise InvalidMatrixError("expected an (n_omega, 2N, 2N) stack of matrices")
+    # NaN compares false against every tolerance below, so it must be caught here
+    finite = np.isfinite(mat).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidMatrixError(
+            f"spectral matrix at grid index {int(np.argmin(finite))} is not finite")
     scale = np.max(np.abs(mat), axis=(1, 2))
     herm_defect = np.max(np.abs(mat - np.conj(np.swapaxes(mat, 1, 2))), axis=(1, 2))
     bad = herm_defect > hermiticity_tol * np.maximum(scale, 1e-300)
@@ -223,22 +238,19 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     Takes unsymmetrized spectra (for the fluctuation-dissipation residual),
     symmetrizes internally for the rest, and classifies each frequency:
     quantum_limited when |gap| <= tol*scale, above_limit when gap > tol*scale,
-    violation when gap < -tol*scale (inconsistent inputs, never valid physics).
+    violation when gap < -tol*scale (inconsistent inputs, never valid physics)
+    or when the gap is not finite.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
     _require_valid_detector(susc, tol)
     sym = symmetrize(spectra_unsym)
-    gap, scale = _gap_terms(sym, susc, units)
+    d0, im_term, scale = _gap_terms(sym, susc, units.hbar)
+    gap = d0 - np.abs(im_term)
     norm = normalize(sym, susc)
     r1, r2 = quantum_limit_residuals(norm, susc.chi_ff, units)
     kubo = kubo_check(spectra_unsym.s_ff, susc.chi_ff, units).values.real
     margin = positivity_margin(sym.s_ff, susc.chi_ff, units)
-    thresh = tol * np.maximum(scale, 1e-300)
-    verdicts = tuple(
-        Verdict.violation if g < -t else
-        (Verdict.above_limit if g > t else Verdict.quantum_limited)
-        for g, t in zip(gap, thresh))
     return ConstraintReport(
         grid=spectra_unsym.grid,
         uncertainty_gap=gap,
@@ -246,5 +258,5 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
         correlation_residual=r2,
         kubo_residual=kubo,
         positivity_margin=margin,
-        verdicts=verdicts,
+        verdicts=classify_verdicts(gap, tol * np.maximum(scale, 1e-300)),
     )

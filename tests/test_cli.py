@@ -1,5 +1,7 @@
 """Command-line interface: config round-trips, file outputs, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -66,6 +68,34 @@ class TestRunConfig:
         cfg = RunConfig(command="qubit", gamma=3.0000000000000004,
                         delta=-1e-308, theta=0.1 + 0.2)
         assert parse_config(cfg.to_argv()) == cfg
+
+    @pytest.mark.parametrize("field,value", [
+        ("delta", math.nan), ("gamma", math.inf), ("n_occ", -math.inf)])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(command="qubit", **{field: value})
+
+
+# The long options every subcommand accepts.  Scripts and replayed runs
+# depend on these spellings, so the parser derived from RunConfig must keep
+# each of them.
+CLI_FLAGS = {
+    "--gamma", "--delta", "--gbar", "--theta", "--omega-max", "--n-half",
+    "--input", "--omega-m", "--gamma-m", "--mass", "--n-occ",
+    "--window-halfwidth", "--window-points", "--single-sided", "--format",
+    "--out", "--mimo-input"}
+
+
+def test_flag_spelling_is_pinned():
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == {
+        "spectra", "check", "qubit", "mech", "mimo-check"}
+    for name, sub in commands.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings
+                 if opt.startswith("--")}
+        assert flags - {"--help"} == CLI_FLAGS, name
 
 
 class TestParseInputState:
@@ -300,17 +330,20 @@ class TestMimoCheckCommand:
         assert json.loads(out.read_text())["worst_verdict"] == "above_limit"
 
     def test_corrupted_file_exits_3(self, tmp_path, vacuum_file, capsys):
-        lines = vacuum_file.read_text().splitlines()
-        cells = lines[5].split(",")
-        cells[3] = repr(float(cells[3]) + 0.2)  # break Hermiticity
-        lines[5] = ",".join(cells)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "b.csv"
-        code = main(["mimo-check", "--mimo-input", str(bad),
-                     "--out", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("error: violation:")
+        # break Hermiticity; then a NaN cell, which every tolerance misses
+        for corrupt in (lambda cell: repr(float(cell) + 0.2), lambda _: "nan"):
+            lines = vacuum_file.read_text().splitlines()
+            cells = lines[5].split(",")
+            cells[3] = corrupt(cells[3])
+            lines[5] = ",".join(cells)
+            bad = tmp_path / "bad.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            out = tmp_path / "b.csv"
+            code = main(["mimo-check", "--mimo-input", str(bad),
+                         "--out", str(out)])
+            assert code == 3
+            assert capsys.readouterr().err.startswith("error: violation:")
+            assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["mimo-check", "--out", str(tmp_path / "x.csv")])
@@ -338,10 +371,14 @@ class TestMimoCheckCommand:
 
 class TestExitCodes:
     def test_invalid_cavity_params_exit_2(self, tmp_path, capsys):
-        code = main(["spectra", "--gamma", "-1",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        for argv in (["spectra", "--gamma", "-1"],
+                     ["qubit", "--delta=nan"],
+                     ["spectra", "--gamma=inf"]):
+            code = main(argv + ["--out", str(out)])
+            assert code == 2, argv
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_output_directory_exits_1(self, tmp_path, capsys):
         code = main(["qubit", "--out", str(tmp_path / "no/such/dir/x.csv")])
@@ -378,6 +415,168 @@ class TestDeterminism:
         body1 = out1.read_text().splitlines()[1:]
         body2 = out2.read_text().splitlines()[1:]
         assert body1 == body2
+
+
+def contract_csv(config, columns):
+    """CSV artifact text: config echo, header, ``%.16e`` floats, text verbatim."""
+    echo = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    lines = [f"# config: {echo}", ",".join(columns)]
+    arrays = list(columns.values())
+    for i in range(len(arrays[0])):
+        lines.append(",".join(
+            arr[i] if isinstance(arr[i], str) else "%.16e" % arr[i]
+            for arr in arrays))
+    return "\n".join(lines) + "\n"
+
+
+def contract_json(config, payload):
+    """JSON artifact text: sorted keys, two-space indent, config under "config"."""
+    doc = {name: ([v if isinstance(v, str) else float(v) for v in value]
+                  if isinstance(value, (list, np.ndarray)) else value)
+           for name, value in payload.items()}
+    doc["config"] = config
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def expected_spectra(cfg):
+    params = q.CavityParams(gamma=cfg.gamma, delta=cfg.delta, gbar=cfg.gbar,
+                            theta=cfg.theta)
+    grid = q.make_symmetric_grid(cfg.omega_max, cfg.n_half)
+    state = parse_input_state(cfg.input_state)
+    if state.kind == "vacuum":
+        susc = q.cavity_susceptibilities(params, grid)
+        sym = q.cavity_spectra(params, grid)
+    else:
+        net = q.build_one_sided_cavity(params, input_state=state)
+        susc = q.solve_susceptibilities(net, grid)
+        sym = q.symmetrize(q.solve_unsym_spectra(net, grid))
+    norm = q.normalize(sym, susc)
+    keep = grid.points >= 0.0 if cfg.single_sided else slice(None)
+    fold = 2.0 if cfg.single_sided else 1.0
+    columns = {
+        "omega": grid.points[keep],
+        "chi_zf_re": susc.chi_zf.values.real[keep],
+        "chi_zf_im": susc.chi_zf.values.imag[keep],
+        "chi_ff_re": susc.chi_ff.values.real[keep],
+        "chi_ff_im": susc.chi_ff.values.imag[keep],
+        "s_zz_sym": fold * sym.s_zz.values.real[keep],
+        "s_zf_sym_re": fold * sym.s_zf.values.real[keep],
+        "s_zf_sym_im": fold * sym.s_zf.values.imag[keep],
+        "s_ff_sym": fold * sym.s_ff.values.real[keep],
+        "imprecision": fold * norm.imprecision.values.real[keep],
+        "cross_re": fold * norm.cross.values.real[keep],
+        "cross_im": fold * norm.cross.values.imag[keep],
+    }
+    return columns, {}
+
+
+def expected_check(cfg):
+    params = q.CavityParams(gamma=cfg.gamma, delta=cfg.delta, gbar=cfg.gbar,
+                            theta=cfg.theta)
+    grid = q.make_symmetric_grid(cfg.omega_max, cfg.n_half)
+    net = q.build_one_sided_cavity(
+        params, input_state=parse_input_state(cfg.input_state))
+    report = q.constraint_report(q.solve_unsym_spectra(net, grid),
+                                 q.solve_susceptibilities(net, grid))
+    columns = {
+        "omega": grid.points,
+        "uncertainty_gap": report.uncertainty_gap,
+        "product_residual": report.product_residual,
+        "correlation_residual": report.correlation_residual,
+        "kubo_residual": report.kubo_residual,
+        "positivity_margin": report.positivity_margin,
+        "verdict": [v.value for v in report.verdicts],
+    }
+    return columns, {"worst_verdict": report.worst_verdict.value}
+
+
+def expected_qubit(cfg):
+    rates = q.qubit_rates(q.CavityParams(gamma=cfg.gamma, delta=cfg.delta,
+                                         gbar=cfg.gbar, theta=cfg.theta))
+    return {}, {"gamma_meas": rates.gamma_meas, "gamma_phi": rates.gamma_phi,
+                "ratio": rates.ratio, "theta_opt": rates.theta_opt}
+
+
+def expected_mech(cfg):
+    params = q.CavityParams(gamma=cfg.gamma, delta=cfg.delta, gbar=cfg.gbar,
+                            theta=cfg.theta)
+    osc = q.MechOscillator(omega_m=cfg.omega_m, gamma_m=cfg.gamma_m,
+                           mass=cfg.mass, n_occupation=cfg.n_occ)
+    grid = q.asymmetry_grid(params, osc,
+                            halfwidth_linewidths=cfg.window_halfwidth,
+                            n_points=cfg.window_points)
+    res = q.sideband_asymmetry(params, osc, grid)
+    columns = {"omega": grid.points,
+               "spectrum_red": res.spectrum_red.values.real,
+               "spectrum_blue": res.spectrum_blue.values.real}
+    return columns, {"area_red": res.area_red, "area_blue": res.area_blue,
+                     "ratio": res.ratio}
+
+
+def expected_mimo(omega, blocks):
+    dets = q.mimo_quantum_limit(blocks)
+    dim = blocks.shape[1]
+    verdicts = []
+    for det, block in zip(dets, blocks):
+        scale = max(np.trace(block).real / dim, 0.0) ** dim
+        limit = 1e-9 * max(scale, np.finfo(float).tiny)
+        verdicts.append("quantum_limited" if det <= limit else "above_limit")
+    worst = "above_limit" if "above_limit" in verdicts else "quantum_limited"
+    return ({"omega": omega, "det": dets, "verdict": verdicts},
+            {"worst_verdict": worst})
+
+
+class TestByteContract:
+    """Artifacts rebuilt from library results under the fixed output rules.
+
+    CSV: ``# config:`` compact sorted JSON, a header, ``%.16e`` per float
+    cell, text cells verbatim, scalars repeated down a column after the
+    others.  JSON: ``json.dumps(sort_keys=True, indent=2)`` with scalars as
+    values (``Infinity`` for an infinite ratio) and ``worst_verdict`` beside
+    a verdict column.
+    """
+
+    CASES = {
+        "spectra": (["spectra", "--delta=0.3", "--n-half=12"], expected_spectra),
+        "spectra-engine": (["spectra", "--input=thermal:0.5", "--n-half=12",
+                            "--theta=0.2"], expected_spectra),
+        "spectra-single-sided": (["spectra", "--delta=0.8", "--n-half=12",
+                                  "--single-sided"], expected_spectra),
+        "check": (["check", "--input=thermal:1", "--n-half=12"], expected_check),
+        "qubit": (["qubit", "--delta=-0.8", "--theta=0.3"], expected_qubit),
+        "mech": (["mech", "--gamma=0.05", "--gbar=7e-6", "--n-occ=0",
+                  "--window-points=401"], expected_mech),
+        # a vacuum pair makes every determinant round-off, some negative
+        "mimo-check-pure": (["mimo-check"], ("vacuum", "thermal:0.3")),
+        "mimo-check-thermal": (["mimo-check"], ("thermal:0.3",)),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_artifact_bytes(self, tmp_path, generic_params, case, fmt):
+        argv, expected = self.CASES[case]
+        out = tmp_path / f"a.{fmt}"
+        argv = argv + [f"--format={fmt}", f"--out={out}"]
+        if isinstance(expected, tuple):
+            grid = q.make_symmetric_grid(3.0, 8)
+            sets = [q.solve_unsym_spectra(q.build_one_sided_cavity(
+                generic_params, input_state=parse_input_state(state)), grid)
+                for state in expected]
+            blocks = write_mimo_file(tmp_path / "blocks.csv", sets)
+            argv.append(f"--mimo-input={tmp_path / 'blocks.csv'}")
+            expected = lambda cfg: expected_mimo(grid.points, blocks)  # noqa: E731
+        cfg = parse_config(argv)
+        assert main(argv) == 0
+        columns, scalars = expected(cfg)
+        config = dataclasses.asdict(cfg)
+        if fmt == "csv":
+            n_rows = len(next(iter(columns.values()))) if columns else 1
+            columns.update({name: [value] * n_rows for name, value in scalars.items()
+                            if name != "worst_verdict"})
+            text = contract_csv(config, columns)
+        else:
+            text = contract_json(config, {**columns, **scalars})
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 class TestEntryPoint:

@@ -139,6 +139,16 @@ class TestConstraintReport:
                                 symmetrized=False)
         report = q.constraint_report(doctored, susc)
         assert report.worst_verdict is q.Verdict.violation
+        # a NaN gap fails every comparison and must not read as a pass
+        i = 40
+        s_ff = uns.s_ff.values.copy()
+        s_ff[i] = np.nan
+        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=uns.s_zf,
+                                s_ff=q.ComplexSpectrum(grid129, s_ff),
+                                symmetrized=False)
+        report = q.constraint_report(doctored, susc)
+        assert report.verdicts[i] is q.Verdict.violation
+        assert report.worst_verdict is q.Verdict.violation
 
     def test_rejects_symmetrized_input(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)
