@@ -59,7 +59,6 @@ from .core import (
     MechOscillator,
     UnitConvention,
     make_symmetric_grid,
-    reflect,
 )
 from .errors import (
     DegenerateReadoutError,
@@ -131,7 +130,6 @@ __all__ = [
     "positivity_margin",
     "quantum_limit_residuals",
     "qubit_rates",
-    "reflect",
     "response_denominator",
     "sideband_asymmetry",
     "solve_susceptibilities",

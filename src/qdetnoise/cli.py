@@ -18,9 +18,9 @@ timestamps, fixed float formatting, a single ``# config:`` echo line as the
 only metadata.  One writer, ``_write``, produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
-non-finite float flag) or malformed input file, 3 constraint violation
-(including invalid spectral matrices), 4 physically degenerate regime (no
-readout gain, unstable spring).
+non-finite float flag or input state) or malformed input file, 3 constraint
+violation (including invalid spectral matrices), 4 physically degenerate
+regime (no readout gain, unstable spring).
 """
 
 from __future__ import annotations
@@ -247,15 +247,9 @@ def _oscillator(cfg: RunConfig) -> MechOscillator:
                           mass=cfg.mass, n_occupation=cfg.n_occ)
 
 
-def _grid(cfg: RunConfig):
-    if cfg.n_half < 1:
-        raise ValueError("n_half must be at least 1")
-    return make_symmetric_grid(cfg.omega_max, cfg.n_half)
-
-
 def cmd_spectra(cfg: RunConfig) -> int:
     params = _cavity_params(cfg)
-    grid = _grid(cfg)
+    grid = make_symmetric_grid(cfg.omega_max, cfg.n_half)
     state = parse_input_state(cfg.input_state)
     if state.kind == "vacuum":
         susc = cavity_susceptibilities(params, grid)
@@ -291,7 +285,7 @@ def cmd_spectra(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     params = _cavity_params(cfg)
-    grid = _grid(cfg)
+    grid = make_symmetric_grid(cfg.omega_max, cfg.n_half)
     state = parse_input_state(cfg.input_state)
     net = build_one_sided_cavity(params, input_state=state)
     susc = solve_susceptibilities(net, grid)

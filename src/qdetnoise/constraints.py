@@ -1,6 +1,6 @@
 """Residuals and margins for the general quantum measurement constraints.
 
-Every check is scale-aware: a residual is compared against tol * scale with
+Every check is scale-aware: a residual is compared against _TOL * scale with
 scale the largest constituent term at that frequency, since the raw magnitudes
 vary over many orders across parameter sweeps.
 """
@@ -16,6 +16,11 @@ from .cavity import NormalizedSpectra, SpectraSet, SusceptibilitySet, normalize
 from .core import ComplexSpectrum, FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import kubo_check, symmetrize
+
+# Relative tolerance of the gap verdicts and of the valid-detector premise.
+_TOL = 1e-9
+# Relative Hermiticity defect a MIMO spectral matrix may carry.
+_HERMITICITY_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -77,8 +82,8 @@ class ConstraintReport:
         return Verdict.worst(self.verdicts)
 
 
-def _require_valid_detector(susc: SusceptibilitySet, tol: float) -> None:
-    floor = tol * max(np.max(np.abs(susc.chi_zf.values)), 1e-300)
+def _require_valid_detector(susc: SusceptibilitySet) -> None:
+    floor = _TOL * max(np.max(np.abs(susc.chi_zf.values)), 1e-300)
     worst = max(np.max(np.abs(susc.chi_zz.values)),
                 np.max(np.abs(susc.chi_fz.values)))
     if worst > floor:
@@ -89,19 +94,18 @@ def _require_valid_detector(susc: SusceptibilitySet, tol: float) -> None:
 
 
 def uncertainty_gap(spectra: SpectraSet, susc: SusceptibilitySet,
-                    units: UnitConvention = UnitConvention(),
-                    detector_tol: float = 1e-9) -> np.ndarray:
+                    units: UnitConvention = UnitConvention()) -> np.ndarray:
     """Noise uncertainty relation, as (left - right) per frequency.
 
     gap = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2
           - hbar |Im[S_zf^* chi_zf - chi_ff S_zz]|
 
-    All spectra symmetrized. Nonzero chi_zz or chi_fz invalidates the
-    premise and raises NotAValidDetectorError.
+    All spectra symmetrized. A chi_zz or chi_fz above 1e-9 times the peak
+    |chi_zf| invalidates the premise and raises NotAValidDetectorError.
     """
     if not spectra.symmetrized:
         raise ValueError("uncertainty_gap expects symmetrized spectra")
-    _require_valid_detector(susc, detector_tol)
+    _require_valid_detector(susc)
     d0, im_term, _ = _gap_terms(spectra, susc, units.hbar)
     return d0 - np.abs(im_term)
 
@@ -196,13 +200,13 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
     return out
 
 
-def mimo_quantum_limit(spectral_matrix: np.ndarray,
-                       hermiticity_tol: float = 1e-12) -> np.ndarray:
+def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
     """Determinant of the spectral matrix per frequency.
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
     thermal admixtures push it strictly positive. The input must be finite,
-    Hermitian and positive semidefinite at every frequency.
+    Hermitian to 1e-12 of its largest entry and positive semidefinite at
+    every frequency.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim == 2:
@@ -216,7 +220,7 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray,
             f"spectral matrix at grid index {int(np.argmin(finite))} is not finite")
     scale = np.max(np.abs(mat), axis=(1, 2))
     herm_defect = np.max(np.abs(mat - np.conj(np.swapaxes(mat, 1, 2))), axis=(1, 2))
-    bad = herm_defect > hermiticity_tol * np.maximum(scale, 1e-300)
+    bad = herm_defect > _HERMITICITY_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise InvalidMatrixError(
@@ -231,19 +235,19 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray,
 
 
 def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
-                      units: UnitConvention = UnitConvention(),
-                      tol: float = 1e-9) -> ConstraintReport:
+                      units: UnitConvention = UnitConvention()
+                      ) -> ConstraintReport:
     """Run every per-frequency check on one detector's engine output.
 
     Takes unsymmetrized spectra (for the fluctuation-dissipation residual),
-    symmetrizes internally for the rest, and classifies each frequency:
-    quantum_limited when |gap| <= tol*scale, above_limit when gap > tol*scale,
-    violation when gap < -tol*scale (inconsistent inputs, never valid physics)
-    or when the gap is not finite.
+    symmetrizes internally for the rest, and classifies each frequency with
+    t = 1e-9*scale: quantum_limited when |gap| <= t, above_limit when
+    gap > t, violation when gap < -t (inconsistent inputs, never valid
+    physics) or when the gap is not finite.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
-    _require_valid_detector(susc, tol)
+    _require_valid_detector(susc)
     sym = symmetrize(spectra_unsym)
     d0, im_term, scale = _gap_terms(sym, susc, units.hbar)
     gap = d0 - np.abs(im_term)
@@ -258,5 +262,5 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
         correlation_residual=r2,
         kubo_residual=kubo,
         positivity_margin=margin,
-        verdicts=classify_verdicts(gap, tol * np.maximum(scale, 1e-300)),
+        verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300)),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -23,6 +24,14 @@ import numpy as np
 from .errors import GridMismatchError, InvalidMatrixError
 
 ArrayOrFloat = Union[float, np.ndarray]
+
+
+def _require_finite(record) -> None:
+    """Reject a parameter record whose real-valued fields hold NaN or inf."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,7 @@ class UnitConvention:
     k_B: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.hbar > 0):
             raise ValueError("hbar must be positive")
         if not (self.k_B > 0):
@@ -99,7 +109,7 @@ def make_symmetric_grid(omega_max: float, n_half: int) -> FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class ComplexSpectrum:
-    """Complex-valued function sampled on a FrequencyGrid."""
+    """Complex values sampled on a FrequencyGrid, held as a read-only copy."""
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -113,59 +123,6 @@ class ComplexSpectrum:
             )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def _like(self, values: np.ndarray) -> "ComplexSpectrum":
-        return ComplexSpectrum(self.grid, values)
-
-    def _coerce(self, other: "ComplexSpectrum | complex") -> np.ndarray:
-        if isinstance(other, ComplexSpectrum):
-            if other.grid != self.grid:
-                raise GridMismatchError("operands live on different grids")
-            return other.values
-        return np.asarray(other, dtype=complex)
-
-    def __add__(self, other):
-        return self._like(self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._like(self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._like(self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return self._like(self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._like(self.values / self._coerce(other))
-
-    def __neg__(self):
-        return self._like(-self.values)
-
-    def conj(self) -> "ComplexSpectrum":
-        return self._like(np.conj(self.values))
-
-    def reflect(self) -> "ComplexSpectrum":
-        """The spectrum evaluated at -omega (requires a symmetric grid)."""
-        self.grid.require_symmetric("reflect()")
-        return self._like(self.values[::-1])
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.values.imag
-
-
-def reflect(spectrum: ComplexSpectrum) -> ComplexSpectrum:
-    """Frequency reflection: output at omega equals input at -omega."""
-    return spectrum.reflect()
 
 
 @dataclass(frozen=True)
@@ -228,6 +185,7 @@ class CavityParams:
     units: UnitConvention = UnitConvention()
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.gamma > 0):
             raise ValueError("gamma must be positive")
         if not (self.gbar > 0):
@@ -259,6 +217,7 @@ class MechOscillator:
     units: UnitConvention = UnitConvention()
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.omega_m > 0 and self.gamma_m > 0 and self.mass > 0):
             raise ValueError("omega_m, gamma_m and mass must be positive")
         if (self.n_occupation is None) == (self.temperature is None):
@@ -335,14 +294,16 @@ class InputState:
     @classmethod
     def thermal(cls, n_th: ArrayOrFloat) -> "InputState":
         n = np.asarray(n_th, dtype=float)
-        if np.any(n < 0):
-            raise ValueError("thermal occupation must be non-negative")
+        if not np.all(np.isfinite(n) & (n >= 0)):
+            raise ValueError("thermal occupation must be finite and non-negative")
         return cls("thermal", n if n.ndim else float(n))
 
     @classmethod
     def squeezed(cls, xi: complex | np.ndarray) -> "InputState":
         """Pure squeezed state with complex squeeze parameter xi = r e^{i phi}."""
         x = np.asarray(xi, dtype=complex)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("squeeze parameter must be finite")
         r, phi = np.abs(x), np.angle(x)
         n = np.sinh(r) ** 2
         m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
@@ -356,6 +317,9 @@ class InputState:
                              even_required=False).real.astype(float)
         m = _as_moment_array(self.pair_moment, grid, "pair moment",
                              even_required=True).astype(complex)
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(m))):
+            raise InvalidMatrixError(
+                "mean occupation and pair moment must be finite")
         if np.any(n < 0):
             raise InvalidMatrixError("mean occupation must be non-negative")
         bound = n * (n + 1.0)

@@ -58,7 +58,7 @@ class TestSusceptibilities:
         # chi(-omega) = conj(chi(omega)) for response to a Hermitian force
         susc = q.cavity_susceptibilities(generic_params, grid129)
         for chi in (susc.chi_zf, susc.chi_ff):
-            assert np.allclose(q.reflect(chi).values, np.conj(chi.values),
+            assert np.allclose(chi.values[::-1], np.conj(chi.values),
                                rtol=1e-13, atol=1e-15)
 
     def test_causality_no_poles_in_upper_half_plane(self, generic_params):
@@ -104,9 +104,8 @@ class TestSpectra:
 
     def test_symmetrized_spectra_are_even(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)
-        assert np.allclose(q.reflect(sym.s_ff).values, sym.s_ff.values,
-                           rtol=1e-12)
-        assert np.allclose(q.reflect(sym.s_zz).values, sym.s_zz.values)
+        assert np.allclose(sym.s_ff.values[::-1], sym.s_ff.values, rtol=1e-12)
+        assert np.allclose(sym.s_zz.values[::-1], sym.s_zz.values)
 
     def test_symmetrized_container_rejects_complex_autos(self, grid129):
         vals = np.full(grid129.points.size, 1.0 + 0.1j)

@@ -113,7 +113,8 @@ class TestParseInputState:
         assert state.pair_moment == pytest.approx(expect.pair_moment)
 
     @pytest.mark.parametrize("bad", [
-        "coherent", "thermal", "thermal:x", "squeezed:0.5", "squeezed:1,2,3"])
+        "coherent", "thermal", "thermal:x", "squeezed:0.5", "squeezed:1,2,3",
+        "thermal:inf", "thermal:nan", "squeezed:nan,0"])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             parse_input_state(bad)
@@ -374,7 +375,9 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         for argv in (["spectra", "--gamma", "-1"],
                      ["qubit", "--delta=nan"],
-                     ["spectra", "--gamma=inf"]):
+                     ["spectra", "--gamma=inf"],
+                     ["spectra", "--input=thermal:inf"],
+                     ["spectra", "--input=squeezed:nan,0"]):
             code = main(argv + ["--out", str(out)])
             assert code == 2, argv
             assert "error:" in capsys.readouterr().err

@@ -60,17 +60,18 @@ class TestUncertaintyGap:
     def test_inflated_cross_correlation_violates(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
-        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz,
-                                s_zf=2.0 * uns.s_zf, s_ff=uns.s_ff,
-                                symmetrized=False)
+        s_zf = q.ComplexSpectrum(grid129, 2.0 * uns.s_zf.values)
+        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=s_zf,
+                                s_ff=uns.s_ff, symmetrized=False)
         gap = q.uncertainty_gap(q.symmetrize(doctored), susc)
         assert np.min(gap) < 0.0
 
     def test_checks_detector_validity_first(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
+        chi_zz = q.ComplexSpectrum(grid129, 0.5 * susc.chi_zf.values)
         bad = q.SusceptibilitySet(grid=grid129, chi_zf=susc.chi_zf,
-                                  chi_ff=susc.chi_ff, chi_zz=0.5 * susc.chi_zf,
+                                  chi_ff=susc.chi_ff, chi_zz=chi_zz,
                                   chi_fz=susc.chi_fz)
         with pytest.raises(q.NotAValidDetectorError):
             q.uncertainty_gap(sym, bad)
@@ -134,9 +135,9 @@ class TestConstraintReport:
     def test_doctored_spectra_flag_violation(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
-        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz,
-                                s_zf=2.0 * uns.s_zf, s_ff=uns.s_ff,
-                                symmetrized=False)
+        s_zf = q.ComplexSpectrum(grid129, 2.0 * uns.s_zf.values)
+        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=s_zf,
+                                s_ff=uns.s_ff, symmetrized=False)
         report = q.constraint_report(doctored, susc)
         assert report.worst_verdict is q.Verdict.violation
         # a NaN gap fails every comparison and must not read as a pass

@@ -70,11 +70,27 @@ class TestNetworkConstruction:
             net.input_coupling @ net.input_coupling.conj().T
         scale = np.max(np.abs(net.drift))
         assert np.max(np.abs(balance)) <= 1e-14 * scale
-        # the flux balance is what makes the readout commutator vanish exactly
+        # the flux balance is what makes the readout commutator vanish exactly,
+        # also for dense force (mode) and readout (output) observables
         grid = q.make_symmetric_grid(2.0, 8)
         susc = q.solve_susceptibilities(net, grid)
         assert np.all(susc.chi_zz.values == 0.0)
         assert np.all(susc.chi_fz.values == 0.0)
+        for n_modes, n_lines in ((4, 2), (16, 3)):
+            for _ in range(80):
+                shape = (n_modes, n_modes)
+                h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                shape = (n_lines, n_modes)
+                coupling = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                net = q.passive_network(
+                    hamiltonian=h, coupling=coupling,
+                    force=q.Observable(mode_quad=rng.normal(size=2 * n_modes),
+                                       output_quad=np.zeros(2 * n_lines)),
+                    readout=q.Observable(mode_quad=np.zeros(2 * n_modes),
+                                         output_quad=rng.normal(size=2 * n_lines)))
+                susc = q.solve_susceptibilities(net, grid)
+                assert np.all(susc.chi_zz.values == 0.0), (n_modes, n_lines)
+                assert np.all(susc.chi_fz.values == 0.0), (n_modes, n_lines)
 
     def test_unstable_drift_rejected(self):
         with pytest.raises(q.StabilityError):
