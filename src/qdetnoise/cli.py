@@ -18,9 +18,10 @@ timestamps, fixed float formatting, a single ``# config:`` echo line as the
 only metadata.  One writer, ``_write``, produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
-non-finite float flag or input state) or malformed input file, 3 constraint
-violation (including invalid spectral matrices), 4 physically degenerate
-regime (no readout gain, unstable spring).
+non-finite float flag or input state, and an input whose moments or spectra
+overflow float64) or malformed input file, 3 constraint violation (including
+invalid spectral matrices), 4 physically degenerate regime (no readout gain,
+unstable spring).
 """
 
 from __future__ import annotations

@@ -130,16 +130,30 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
     Returns d0 = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2, the signed
     term hbar Im[S_zf^* chi_zf - chi_ff S_zz], and the scale of the gap: the
     largest magnitude among its four constituents.
+
+    Non-finite spectra pass through, so their gap is classified a violation.
+    Finite spectra whose terms overflow float64 raise ValueError: the input
+    is out of range, not inconsistent.
     """
     s_zz = spectra.s_zz.values.real
+    s_ff = spectra.s_ff.values.real
     s_zf = spectra.s_zf.values
     chi_zf = susc.chi_zf.values
-    zz_ff = s_zz * spectra.s_ff.values.real
-    zf_sq = np.abs(s_zf) ** 2
-    chi_sq = 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
-    im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - susc.chi_ff.values * s_zz)
-    scale = np.maximum.reduce([np.abs(zz_ff), zf_sq, chi_sq, np.abs(im_term)])
-    return zz_ff - zf_sq - chi_sq, im_term, scale
+    chi_ff = susc.chi_ff.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz_ff = s_zz * s_ff
+        zf_sq = np.abs(s_zf) ** 2
+        chi_sq = 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
+        im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
+        scale = np.maximum.reduce([np.abs(zz_ff), zf_sq, chi_sq, np.abs(im_term)])
+        d0 = zz_ff - zf_sq - chi_sq
+    overflow = (np.isfinite([s_zz, s_ff, s_zf, chi_zf, chi_ff]).all(axis=0)
+                & ~(np.isfinite(d0) & np.isfinite(scale)))
+    if np.any(overflow):
+        omega = spectra.grid.points[np.argmax(overflow)]
+        raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "
+                         "the input spectra are out of range")
+    return d0, im_term, scale
 
 
 def quantum_limit_residuals(norm: NormalizedSpectra, chi_ff: ComplexSpectrum,

@@ -305,8 +305,12 @@ class InputState:
         if not np.all(np.isfinite(x)):
             raise ValueError("squeeze parameter must be finite")
         r, phi = np.abs(x), np.angle(x)
-        n = np.sinh(r) ** 2
-        m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = np.sinh(r) ** 2
+            m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(m))):
+            raise ValueError(f"squeeze magnitude {np.max(r):.9g} is too large: "
+                             "its moments overflow float64")
         if x.ndim == 0:
             return cls("squeezed", float(n), complex(m))
         return cls("squeezed", n, m)
@@ -322,8 +326,10 @@ class InputState:
                 "mean occupation and pair moment must be finite")
         if np.any(n < 0):
             raise InvalidMatrixError("mean occupation must be non-negative")
-        bound = n * (n + 1.0)
-        if np.any(np.abs(m) ** 2 > bound * (1 + 1e-9) + 1e-30):
+        # both sides may overflow to inf for N above ~1e154; inf > inf is False
+        with np.errstate(over="ignore"):
+            too_large = np.abs(m) ** 2 > n * (n + 1.0) * (1 + 1e-9) + 1e-30
+        if np.any(too_large):
             raise InvalidMatrixError(
                 "pair moment too large: |M|^2 <= N (N + 1) is required")
         return n, m

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .cavity import SpectraSet, SusceptibilitySet
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
@@ -152,6 +151,7 @@ class LinearNetwork:
         scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(bb)))
         if np.max(np.abs(resid0)) <= 1e-13 * scale:
             return np.eye(self.n_modes, dtype=complex)
+        import scipy.linalg  # deferred: only non-passive networks need it
         m = scipy.linalg.solve_continuous_lyapunov(a, -bb)
         resid = a @ m + m @ a.conj().T + bb
         m = m - scipy.linalg.solve_continuous_lyapunov(a, resid)

@@ -377,7 +377,10 @@ class TestExitCodes:
                      ["qubit", "--delta=nan"],
                      ["spectra", "--gamma=inf"],
                      ["spectra", "--input=thermal:inf"],
-                     ["spectra", "--input=squeezed:nan,0"]):
+                     ["spectra", "--input=squeezed:nan,0"],
+                     # finite inputs whose moments or gap overflow float64
+                     ["spectra", "--input=squeezed:800,0", "--n-half=4"],
+                     ["check", "--input=thermal:1e200", "--n-half=4"]):
             code = main(argv + ["--out", str(out)])
             assert code == 2, argv
             assert "error:" in capsys.readouterr().err

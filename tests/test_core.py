@@ -188,8 +188,9 @@ class TestInputState:
         for bad in (-0.1, math.inf, math.nan, np.array([0.5, math.inf])):
             with pytest.raises(ValueError):
                 q.InputState.thermal(bad)
-        with pytest.raises(ValueError):
-            q.InputState.squeezed(complex(math.nan, 0.0))
+        for bad in (complex(math.nan, 0.0), 800.0):
+            with pytest.raises(ValueError):
+                q.InputState.squeezed(bad)
         # directly built states skip the constructors' checks
         for n, m in ((math.inf, 0.0), (math.nan, 0.0), (1.0, complex(0.0, math.nan)),
                      (np.full(grid129.points.size, math.inf), 0.0)):

@@ -1,6 +1,8 @@
-"""The package surface: its exported names and the scripts built on it."""
+"""The package surface: its exported names, its imports and its scripts."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +10,48 @@ import pytest
 
 import qdetnoise as q
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+_CLI_RUNS = """
+import sys
+from qdetnoise.cli import main
+mech = ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3", "--n-occ=2"]
+for argv in (["spectra"], ["spectra", "--input=thermal:0.5"], ["check"],
+             ["qubit"], mech, ["mimo-check", "--mimo-input=blocks.csv"]):
+    assert main([*argv, "--n-half=8", "--out=" + argv[0] + ".csv"]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+_NON_PASSIVE_SOLVE = """
+import sys
+import qdetnoise as q
+# A + A^dag + B B^dag = -1, so the Gramian is not the identity
+net = q.LinearNetwork(
+    drift=[[-1.0]], input_coupling=[[1.0]], output_coupling=[[1.0]],
+    feedthrough=[[1.0]],
+    force=q.Observable(mode_quad=[1.0, 0.0], output_quad=[0.0, 0.0]),
+    readout=q.Observable(mode_quad=[0.0, 0.0], output_quad=[1.0, 0.0]))
+assert "scipy.linalg" not in sys.modules
+q.solve_susceptibilities(net, q.make_symmetric_grid(1.0, 4))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def _run_fresh(code, cwd):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_scipy_is_imported_only_for_the_lyapunov_gramian(tmp_path):
+    # one Hermitian, positive semidefinite 2x2 block as re,im cell pairs
+    (tmp_path / "blocks.csv").write_text("0.0,1.0,0.0,0.5,0.0,0.5,0.0,1.0,0.0\n")
+    assert _run_fresh(_CLI_RUNS, tmp_path) == "[]"
+    assert _run_fresh(_NON_PASSIVE_SOLVE, tmp_path) == "True"
 
 
 def test_public_names_are_pinned():
