@@ -29,14 +29,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._format import WIDTH, format_e16
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .constraints import (
@@ -57,6 +59,7 @@ from .netsolve import (
 __all__ = ["RunConfig", "parse_config", "parse_input_state", "build_parser", "main"]
 
 _FORMATS = ("csv", "json")
+_CHUNK_ROWS = 4096  # CSV rows formatted and written at a time
 
 # Columns that are spectral densities and therefore double in the
 # single-sided convention; responses and the frequency axis do not.
@@ -64,6 +67,8 @@ _DENSITY_COLUMNS = frozenset(
     {"s_zz_sym", "s_zf_sym_re", "s_zf_sym_im", "s_ff_sym",
      "imprecision", "cross_re", "cross_im"}
 )
+
+_VERDICT_TEXT = {verdict: verdict.value for verdict in Verdict}
 
 
 def _option(default, help: str, flag: str | None = None, **parser_kwargs):
@@ -213,25 +218,101 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     repeats each scalar down a column after the others (a table of scalars
     only is one row); JSON keeps scalars as plain values.  A ``verdict``
     column holds Verdict members, written by value; JSON adds the most
-    severe one as ``worst_verdict``.
+    severe one as ``worst_verdict``.  The bytes are those of ``"%.16e" %``
+    per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.
+
+    Every check and conversion runs before the file is opened, so an error
+    leaves no file behind; what runs after is numpy arithmetic on finished
+    float arrays.  CSV rows are formatted and written
+    ``_CHUNK_ROWS`` at a time by :func:`._format.format_e16`, which hands
+    non-finite cells and cells within 1e-6 of a rounding tie to Python's
+    ``%``; the scalars are formatted once, as a suffix shared by every row.
+    JSON columns go through json's C encoder and are re-indented to the
+    layout of ``indent=2``.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells = {name: ([v.value for v in col] if name == "verdict" else col.tolist())
+    cells = {name: (list(map(_VERDICT_TEXT.__getitem__, col)) if name == "verdict"
+                    else np.asarray(col, dtype=float))
              for name, col in columns.items()}
     if cfg.fmt == "csv":
-        n_rows = len(next(iter(cells.values()))) if cells else 1
-        cells.update({name: [value] * n_rows for name, value in scalars.items()})
-        row = ",".join("%s" if name == "verdict" else "%.16e" for name in cells)
-        lines = [f"# config: {_config_echo(cfg)}", ",".join(cells),
-                 *map(row.__mod__, zip(*cells.values()))]
-        text = "\n".join(lines)
+        chunks = _csv_chunks(cfg, cells, scalars)
     else:
         doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
         if "verdict" in columns:
             doc["worst_verdict"] = Verdict.worst(columns["verdict"]).value
-        text = json.dumps(doc, sort_keys=True, indent=2)
-    with _output_path(cfg).open("w", encoding="utf-8", newline="\n") as fh:
-        print(text, file=fh)  # the final newline without a copy of the text
+        chunks = _json_chunks(doc)
+    with _output_path(cfg).open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
+                scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
+    """The CSV header, then the rows, formatted lazily ``_CHUNK_ROWS`` at a time.
+
+    Each row is laid out in a fixed-width uint8 template: every cell in a
+    field wide enough for any value of its column, commas between, and the
+    scalars and newline at the end; the zero bytes that pad short cells
+    are dropped by one mask per block.
+    """
+    head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
+    fields = []
+    for name, col in cells.items():
+        if name == "verdict":
+            labels = np.array(col, dtype="S")
+            col = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+        fields.append(col)
+    n_rows = len(fields[0]) if fields else 1
+    numbers = [i for i, field in enumerate(fields) if field.ndim == 1]
+    widths = [WIDTH if field.ndim == 1 else field.shape[1] for field in fields]
+    starts = list(itertools.accumulate((w + 1 for w in widths), initial=0))
+    suffix = ",".join("%.16e" % value for value in scalars.values()) + "\n"
+    if fields and scalars:
+        suffix = "," + suffix
+    tail = starts[-1] - 1 if fields else 0
+    template = np.zeros(tail + len(suffix), dtype=np.uint8)
+    template[[start - 1 for start in starts[1:-1]]] = ord(",")
+    template[tail:] = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
+
+    def block(first: int) -> np.ndarray:
+        rows = slice(first, first + _CHUNK_ROWS)
+        out = np.tile(template, (min(_CHUNK_ROWS, n_rows - first), 1))
+        if numbers:
+            text = format_e16(np.stack([fields[i][rows] for i in numbers], axis=1))
+            for k, i in enumerate(numbers):
+                out[:, starts[i]:starts[i] + WIDTH] = text[:, k]
+        for i, field in enumerate(fields):
+            if field.ndim == 2:
+                out[:, starts[i]:starts[i] + widths[i]] = field[rows]
+        return out[out != 0]
+
+    return itertools.chain([head.encode("ascii")],
+                           map(block, range(0, n_rows, _CHUNK_ROWS)))
+
+
+def _json_chunks(doc: dict) -> list[bytes]:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, as bytes
+    in one piece per top-level key.
+
+    A non-empty column goes through json's C encoder, which writes floats
+    by ``float.__repr__`` as the indenting encoder does; its ``", "``
+    separators become the indented line breaks, since no float repr or
+    verdict holds one.
+    """
+    chunks = []
+    for i, key in enumerate(sorted(doc)):
+        value = doc[key]
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, list) and value:
+            body = json.dumps(value)[1:-1].replace(", ", ",\n    ")
+            body = f"[\n    {body}\n  ]"
+        else:
+            body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        opening = ",\n" if i else "{\n"
+        chunks.append(f"{opening}  {json.dumps(key)}: {body}".encode("ascii"))
+    chunks.append(b"\n}\n")
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +422,15 @@ def cmd_mech(cfg: RunConfig) -> int:
 
 
 def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows: list[list[float]] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("omega"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
+    text = path.read_text(encoding="utf-8")
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith(("#", "omega"))]
+    if not lines:
         raise ValueError(f"no data rows in MIMO input {path}")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
         raise ValueError("ragged MIMO input: rows differ in column count")
+    width = commas + 1
     if width < 9 or (width - 1) % 2:
         raise ValueError(
             "each MIMO row must hold omega plus re,im pairs of a 2Nx2N block")
@@ -360,8 +439,8 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if dim * dim != n_cells or dim % 2:
         raise ValueError(
             f"{n_cells} cells per row do not form a square even-dimension block")
-    data = np.array(rows, dtype=float)
-    blocks = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(len(rows), dim, dim)
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    blocks = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(len(data), dim, dim)
     return data[:, 0], blocks
 
 

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qdetnoise as q
 from qdetnoise import cli
@@ -359,6 +361,42 @@ class TestMimoCheckCommand:
         assert code == 2
         assert "ragged" in capsys.readouterr().err
 
+    def test_non_numeric_cell_exits_2(self, tmp_path, vacuum_file, capsys):
+        lines = vacuum_file.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "1.0x"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["mimo-check", "--mimo-input", str(bad), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'1.0x'" in err
+        assert not out.exists()
+
+    def test_header_only_file_exits_2(self, tmp_path, vacuum_file, capsys):
+        bad = tmp_path / "header.csv"
+        bad.write_text(vacuum_file.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["mimo-check", "--mimo-input", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crlf_blank_and_comment_lines_are_ignored(self, tmp_path, vacuum_file):
+        lines = vacuum_file.read_text().splitlines()
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_bytes("\r\n".join(
+            ["# generated blocks", lines[0], "", *lines[1:5], "  ", "# more",
+             *lines[5:], ""]).encode("utf-8"))
+        outputs = []
+        for src in (vacuum_file, noisy):
+            out = tmp_path / f"{src.stem}.csv"
+            assert main(["mimo-check", f"--mimo-input={src}", f"--out={out}"]) == 0
+            outputs.append(out.read_bytes().split(b"\n", 1)[1])  # after the config
+        assert outputs[0] == outputs[1]
+
     def test_odd_block_dimension_exits_2(self, tmp_path, capsys):
         # 9 cells = 3x3 block: square but odd, so not quadrature pairs
         bad = tmp_path / "odd.csv"
@@ -380,7 +418,10 @@ class TestExitCodes:
                      ["spectra", "--input=squeezed:nan,0"],
                      # finite inputs whose moments or gap overflow float64
                      ["spectra", "--input=squeezed:800,0", "--n-half=4"],
-                     ["check", "--input=thermal:1e200", "--n-half=4"]):
+                     ["check", "--input=thermal:1e200", "--n-half=4"],
+                     # a table longer than one block of streamed rows
+                     ["check", "--input=thermal:1e200",
+                      f"--n-half={cli._CHUNK_ROWS}"]):
             code = main(argv + ["--out", str(out)])
             assert code == 2, argv
             assert "error:" in capsys.readouterr().err
@@ -583,6 +624,77 @@ class TestByteContract:
         else:
             text = contract_json(config, {**columns, **scalars})
         assert out.read_bytes() == text.encode("utf-8")
+
+
+def adversarial_floats():
+    """Cells that break a %.16e formatter that is almost right."""
+    cells = [math.nan, math.inf, 0.0, 5e-324, 1.5e-310, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-323, 309):
+        power = below = above = float(f"1e{k}")
+        cells.append(power)
+        for _ in range(2):  # one and two ulps either side of each power of ten
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
+            cells += [below, above]
+    near = 1e15 + np.arange(-64.0, 64.0)
+    cells += [*(near + 0.25), *(near + 0.75)]  # exact ties of the 17th digit
+    return np.array(cells + [-c for c in cells])
+
+
+def reference_artifact(cfg, columns, scalars):
+    """The artifact under the output rules, from ``%`` and ``json.dumps``."""
+    config = dataclasses.asdict(cfg)
+    cells = {name: ([v.value for v in col] if name == "verdict" else col)
+             for name, col in columns.items()}
+    if cfg.fmt == "csv":
+        n_rows = len(next(iter(columns.values()))) if columns else 1
+        return contract_csv(config, {**cells, **{name: [value] * n_rows
+                                                 for name, value in scalars.items()}})
+    payload = {**cells, **scalars}
+    if "verdict" in columns:
+        payload["worst_verdict"] = q.Verdict.worst(columns["verdict"]).value
+    return contract_json(config, payload)
+
+
+class TestWriter:
+    """``_write`` against the reference rules, cell by cell and byte by byte."""
+
+    def written(self, path, fmt, columns, scalars=None):
+        cfg = RunConfig("spectra", fmt=fmt, out=str(path))
+        cli._write(cfg, columns, scalars)
+        expected = reference_artifact(cfg, columns, scalars or {})
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_adversarial_cells(self, tmp_path, fmt):
+        cells = adversarial_floats()
+        verdicts = [list(q.Verdict)[i % 3] for i in range(cells.size)]
+        self.written(tmp_path / f"a.{fmt}", fmt,
+                     {"x": cells, "reversed": cells[::-1], "verdict": verdicts},
+                     {"ratio": math.inf, "zero": -0.0})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_tables_around_the_block_size(self, tmp_path, fmt, extra):
+        rng = np.random.default_rng(extra + 1)
+        n_rows = cli._CHUNK_ROWS + extra
+        values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        self.written(tmp_path / f"t.{fmt}", fmt,
+                     {"omega": np.linspace(-5.0, 5.0, n_rows), "value": values},
+                     {"area": 0.1})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scalar_only_table(self, tmp_path, fmt):
+        self.written(tmp_path / f"s.{fmt}", fmt, {},
+                     {"gamma_meas": 0.1, "ratio": math.nan, "theta_opt": -1e-300})
+
+    @given(cells=st.lists(st.floats(width=64), min_size=1, max_size=40),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_any_floats(self, tmp_path_factory, cells, fmt):
+        cells = np.array(cells)
+        self.written(tmp_path_factory.mktemp("w") / f"h.{fmt}", fmt,
+                     {"x": cells, "y": -cells[::-1]}, {"first": float(cells[0])})
 
 
 class TestEntryPoint:
