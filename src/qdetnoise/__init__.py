@@ -26,7 +26,6 @@ from .apps import (
     qubit_rates,
     sideband_asymmetry,
     thermal_force_spectrum,
-    total_output_spectrum,
 )
 from .cavity import (
     NormalizedSpectra,
@@ -53,7 +52,6 @@ from .constraints import (
 from .core import (
     CavityParams,
     ComplexSpectrum,
-    CouplingSpec,
     FrequencyGrid,
     InputState,
     MechOscillator,
@@ -88,7 +86,6 @@ __all__ = [
     "CavityParams",
     "ComplexSpectrum",
     "ConstraintReport",
-    "CouplingSpec",
     "DegenerateReadoutError",
     "FrequencyGrid",
     "GridMismatchError",
@@ -136,7 +133,6 @@ __all__ = [
     "solve_unsym_spectra",
     "symmetrize",
     "thermal_force_spectrum",
-    "total_output_spectrum",
     "uncertainty_gap",
     "uncertainty_gap_branches",
 ]

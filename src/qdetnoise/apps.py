@@ -37,7 +37,6 @@ __all__ = [
     "modified_mech_susceptibility",
     "thermal_force_spectrum",
     "closed_loop_poles",
-    "total_output_spectrum",
     "sideband_asymmetry",
     "asymmetry_grid",
 ]
@@ -102,7 +101,8 @@ def qubit_rates(params: CavityParams) -> QubitReadoutResult:
     the dephasing rate from the symmetrized force noise.  Raises
     :class:`DegenerateReadoutError` when the chosen homodyne angle has no
     zero-frequency gain (``delta*cos(theta) = gamma*sin(theta)``), since no
-    information reaches the record there.
+    information reaches the record there, and ValueError when a rate
+    overflows float64.
     """
     gamma, delta, theta, gbar = params.gamma, params.delta, params.theta, params.gbar
     gain = delta * math.cos(theta) - gamma * math.sin(theta)
@@ -114,6 +114,9 @@ def qubit_rates(params: CavityParams) -> QubitReadoutResult:
     denom = delta * delta + gamma * gamma
     gamma_meas = 4.0 * gbar * gbar * gamma * gain * gain / (denom * denom)
     gamma_phi = 4.0 * gbar * gbar * gamma / denom
+    if not (math.isfinite(gamma_meas) and math.isfinite(gamma_phi)):
+        raise ValueError("a readout rate overflows float64: the parameters are "
+                         "out of range")
     orthogonal = delta * math.sin(theta) + gamma * math.cos(theta)
     # Written as 1 + square so the bound ratio >= 1 holds in floating point.
     ratio = 1.0 + (orthogonal / gain) ** 2
@@ -208,7 +211,12 @@ def _require_stable(params: CavityParams, osc: MechOscillator) -> None:
 def _total_and_floor(
     params: CavityParams, osc: MechOscillator, grid: FrequencyGrid
 ) -> tuple[ComplexSpectrum, np.ndarray]:
-    """Total output spectrum plus the bare imprecision floor used inside it."""
+    """Measurement-referred output spectrum and the imprecision floor in it.
+
+    total = floor + 2 Re[chi_q^* cross] + |chi_q|^2 (back-action + thermal
+    force noise), with chi_q the dressed mechanical response.  Raises
+    :class:`OpticalSpringInstabilityError` if a coupled mode fails to decay.
+    """
     if params.units != osc.units:
         raise ValueError("cavity and oscillator carry different unit conventions")
     _require_stable(params, osc)
@@ -225,22 +233,6 @@ def _total_and_floor(
     return ComplexSpectrum(grid, total.astype(complex)), floor
 
 
-def total_output_spectrum(
-    params: CavityParams, osc: MechOscillator, grid: FrequencyGrid
-) -> ComplexSpectrum:
-    """Measurement-referred spectrum of a monitored mechanical oscillator.
-
-    Sum of three pieces, all in displacement-referred (normalized) units:
-    the imprecision floor, twice the real part of the cross correlation
-    weighted by the dressed mechanical response, and the dressed response
-    squared times the total force noise (detector back-action plus thermal
-    Langevin force).  Raises :class:`OpticalSpringInstabilityError` if any
-    coupled normal mode fails to decay.
-    """
-    total, _ = _total_and_floor(params, osc, grid)
-    return total
-
-
 def sideband_asymmetry(
     params_template: CavityParams, osc: MechOscillator, grid: FrequencyGrid
 ) -> AsymmetryResult:
@@ -255,7 +247,9 @@ def sideband_asymmetry(
     The grid must cover at least ten effective linewidths on both sides of
     omega_m, else :class:`GridMismatchError` is raised.  A warning is
     emitted outside the resolved-sideband regime (gamma > 0.1 * omega_m),
-    where the two sidebands overlap and the areas lose meaning.
+    where the two sidebands overlap and the areas lose meaning.  A red area
+    that is not positive although n_mean > 0 raises
+    :class:`DegenerateReadoutError`: the readout does not resolve the peak.
     """
     omega_m = osc.omega_m
     if params_template.gamma > 0.1 * omega_m:
@@ -289,8 +283,14 @@ def sideband_asymmetry(
     peak_blue = total_blue.values.real - floor_blue
     area_red = float(np.sum(dx * (peak_red[1:] + peak_red[:-1]) / 2.0))
     area_blue = float(np.sum(dx * (peak_blue[1:] + peak_blue[:-1]) / 2.0))
-    if osc.n_mean == 0.0 or area_red <= 0.0:
+    if osc.n_mean == 0.0:
         ratio = math.inf
+    elif area_red <= 0.0:
+        raise DegenerateReadoutError(
+            f"red sideband area {area_red:.9g} is not positive for an "
+            f"oscillator with n_mean={osc.n_mean:.9g} at "
+            f"theta={params_template.theta:.9g}: the readout does not resolve "
+            "the motional peak")
     else:
         ratio = area_blue / area_red
     return AsymmetryResult(

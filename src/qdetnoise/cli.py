@@ -18,10 +18,11 @@ timestamps, fixed float formatting, a single ``# config:`` echo line as the
 only metadata.  One writer, ``_write``, produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
-non-finite float flag or input state, and an input whose moments or spectra
-overflow float64) or malformed input file, 3 constraint violation (including
-invalid spectral matrices), 4 physically degenerate regime (no readout gain,
-unstable spring).
+non-finite float flag or input state, and a finite configuration whose
+moments, spectra, rates or determinants overflow float64, which writes no
+file) or malformed input file, 3 constraint violation (including invalid
+spectral matrices), 4 physically degenerate regime (no readout gain, no
+positive red sideband weight for an occupied oscillator, unstable spring).
 """
 
 from __future__ import annotations
@@ -221,12 +222,15 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     severe one as ``worst_verdict``.  The bytes are those of ``"%.16e" %``
     per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.
 
-    Every check and conversion runs before the file is opened, so an error
-    leaves no file behind; what runs after is numpy arithmetic on finished
-    float arrays.  CSV rows are formatted and written
-    ``_CHUNK_ROWS`` at a time by :func:`._format.format_e16`, which hands
-    non-finite cells and cells within 1e-6 of a rounding tie to Python's
-    ``%``; the scalars are formatted once, as a suffix shared by every row.
+    A non-finite cell in a float column is rejected with ValueError, as
+    the finite configuration it came from has overflowed; a scalar may be
+    infinite (the ratio of a ground-state oscillator).  Every check and
+    conversion runs before the file is opened, so an error leaves no file
+    behind; what runs after is numpy arithmetic on finished float arrays.
+    CSV rows are formatted and written ``_CHUNK_ROWS`` at a time by
+    :func:`._format.format_e16`, which hands cells within 1e-6 of a
+    rounding tie to Python's ``%``; the scalars are formatted once, as a
+    suffix shared by every row.
     JSON columns go through json's C encoder and are re-indented to the
     layout of ``indent=2``.
     """
@@ -234,6 +238,11 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     cells = {name: (list(map(_VERDICT_TEXT.__getitem__, col)) if name == "verdict"
                     else np.asarray(col, dtype=float))
              for name, col in columns.items()}
+    for name, col in cells.items():
+        if name != "verdict" and not np.isfinite(col).all():
+            raise ValueError(f"column {name} overflows float64 at row "
+                             f"{int(np.argmin(np.isfinite(col)))}: the "
+                             "configuration is out of range")
     if cfg.fmt == "csv":
         chunks = _csv_chunks(cfg, cells, scalars)
     else:
@@ -451,7 +460,11 @@ def cmd_mimo_check(cfg: RunConfig) -> int:
     dets = mimo_quantum_limit(blocks)
     dim = blocks.shape[1]
     traces = np.einsum("kii->k", blocks).real
-    scale = np.maximum(traces / dim, 0.0) ** dim
+    with np.errstate(over="ignore"):
+        scale = np.maximum(traces / dim, 0.0) ** dim
+    if not np.isfinite(scale).all():
+        raise ValueError("determinant threshold overflows float64: the "
+                         "spectral matrices are out of range")
     threshold = 1e-9 * np.maximum(scale, np.finfo(float).tiny)
     # mimo_quantum_limit has accepted every block as positive semidefinite,
     # so a negative determinant is round-off and the verdict is two-way
@@ -486,6 +499,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a result overflows float64 ({exc}): the configuration "
+              "is out of range", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

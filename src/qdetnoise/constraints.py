@@ -220,7 +220,7 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
     Zero (within tolerance) certifies the multi-observable quantum limit;
     thermal admixtures push it strictly positive. The input must be finite,
     Hermitian to 1e-12 of its largest entry and positive semidefinite at
-    every frequency.
+    every frequency; a determinant that overflows float64 raises ValueError.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim == 2:
@@ -245,7 +245,13 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
         idx = int(np.argmax(np.min(eigs, axis=1) < 0))
         raise InvalidMatrixError(
             f"spectral matrix at grid index {idx} is not positive semidefinite")
-    return np.prod(eigs, axis=1)
+    with np.errstate(over="ignore"):
+        dets = np.prod(eigs, axis=1)
+    if not np.isfinite(dets).all():
+        raise ValueError(
+            f"determinant at grid index {int(np.argmin(np.isfinite(dets)))} "
+            "overflows float64: the spectral matrix is out of range")
+    return dets
 
 
 def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,

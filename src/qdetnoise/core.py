@@ -17,13 +17,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidMatrixError
-
-ArrayOrFloat = Union[float, np.ndarray]
 
 
 def _require_finite(record) -> None:
@@ -126,49 +123,6 @@ class ComplexSpectrum:
 
 
 @dataclass(frozen=True)
-class CouplingSpec:
-    """Probe-field coupling reduced to one rate.
-
-    The bare rate g depends on the physical variant; the linearized rate that
-    enters every formula is gbar = g * sqrt(2 * n_cav_mean), growing with the
-    mean intracavity photon number.
-    """
-
-    variant: str
-    bare_rate: float
-    n_cav_mean: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.n_cav_mean > 0):
-            raise ValueError("n_cav_mean must be positive")
-
-    @classmethod
-    def direct(cls, g: float, n_cav_mean: float = 1.0) -> "CouplingSpec":
-        return cls("direct", float(g), float(n_cav_mean))
-
-    @classmethod
-    def qubit(cls, g0: float, omega01: float, omega_l: float,
-              n_cav_mean: float = 1.0) -> "CouplingSpec":
-        """Dispersive two-level coupling, g = g0^2 / (omega_l - omega01)."""
-        if omega_l == omega01:
-            raise ValueError("dispersive coupling requires omega_l != omega01")
-        return cls("qubit", float(g0) ** 2 / (float(omega_l) - float(omega01)),
-                   float(n_cav_mean))
-
-    @classmethod
-    def mechanical(cls, omega_r: float, length: float,
-                   n_cav_mean: float = 1.0) -> "CouplingSpec":
-        """Dispersive position coupling of a movable boundary, g = omega_r / L."""
-        if not (length > 0):
-            raise ValueError("length must be positive")
-        return cls("mechanical", float(omega_r) / float(length), float(n_cav_mean))
-
-    @property
-    def gbar(self) -> float:
-        return self.bare_rate * math.sqrt(2.0 * self.n_cav_mean)
-
-
-@dataclass(frozen=True)
 class CavityParams:
     """One-sided cavity probe with homodyne readout.
 
@@ -190,12 +144,6 @@ class CavityParams:
             raise ValueError("gamma must be positive")
         if not (self.gbar > 0):
             raise ValueError("gbar must be positive")
-
-    @classmethod
-    def from_coupling(cls, gamma: float, delta: float, coupling: CouplingSpec,
-                      theta: float = 0.0,
-                      units: UnitConvention = UnitConvention()) -> "CavityParams":
-        return cls(gamma, delta, coupling.gbar, theta, units)
 
     def replace(self, **changes) -> "CavityParams":
         return dataclasses.replace(self, **changes)
@@ -257,88 +205,63 @@ class MechOscillator:
         return ComplexSpectrum(grid, 1.0 / den)
 
 
-def _as_moment_array(value: ArrayOrFloat, grid: FrequencyGrid,
-                     name: str, even_required: bool) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, grid.points.shape).copy()
-    if arr.shape != grid.points.shape:
-        raise GridMismatchError(
-            f"{name} array has {arr.size} entries for a grid of "
-            f"{grid.points.size} points")
-    grid.require_symmetric(f"frequency-dependent {name}")
-    if even_required and not np.allclose(arr, arr[::-1], rtol=1e-12, atol=0.0):
-        raise InvalidMatrixError(
-            f"{name} must be even in omega: pairing correlates +omega with -omega")
-    return arr.copy()
-
-
 @dataclass(frozen=True)
 class InputState:
-    """Stationary Gaussian state of one input line.
+    """Stationary Gaussian state of one input line, white over frequency.
 
-    Fully determined by the mean occupation N(omega) >= 0 and the pair moment
-    M(omega) correlating the +omega and -omega field components. Physical
-    states obey |M|^2 <= N (N + 1), with equality for pure squeezed states.
-    Scalars denote frequency-independent moments; arrays are grid data.
+    Fully determined by the mean occupation N >= 0 and the pair moment M
+    correlating the +omega and -omega field components, both scalars, as for
+    the thermal and squeezed inputs of Clerk et al., RMP 82, 1155 (2010).
+    Physical states obey |M|^2 <= N (N + 1), with equality for pure squeezed
+    states.
     """
 
     kind: str
-    mean_occupation: ArrayOrFloat = 0.0
-    pair_moment: ArrayOrFloat = 0.0
+    mean_occupation: float = 0.0
+    pair_moment: complex = 0.0
 
     @classmethod
     def vacuum(cls) -> "InputState":
         return cls("vacuum")
 
     @classmethod
-    def thermal(cls, n_th: ArrayOrFloat) -> "InputState":
+    def thermal(cls, n_th: float) -> "InputState":
         n = np.asarray(n_th, dtype=float)
-        if not np.all(np.isfinite(n) & (n >= 0)):
-            raise ValueError("thermal occupation must be finite and non-negative")
-        return cls("thermal", n if n.ndim else float(n))
+        if n.ndim or not (np.isfinite(n) and n >= 0):
+            raise ValueError(
+                "thermal occupation must be a finite, non-negative number")
+        return cls("thermal", float(n))
 
     @classmethod
-    def squeezed(cls, xi: complex | np.ndarray) -> "InputState":
+    def squeezed(cls, xi: complex) -> "InputState":
         """Pure squeezed state with complex squeeze parameter xi = r e^{i phi}."""
         x = np.asarray(xi, dtype=complex)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("squeeze parameter must be finite")
+        if x.ndim or not np.isfinite(x):
+            raise ValueError("squeeze parameter must be a finite number")
         r, phi = np.abs(x), np.angle(x)
         with np.errstate(over="ignore", invalid="ignore"):
             n = np.sinh(r) ** 2
             m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(m))):
-            raise ValueError(f"squeeze magnitude {np.max(r):.9g} is too large: "
+        if not (np.isfinite(n) and np.isfinite(m)):
+            raise ValueError(f"squeeze magnitude {r:.9g} is too large: "
                              "its moments overflow float64")
-        if x.ndim == 0:
-            return cls("squeezed", float(n), complex(m))
-        return cls("squeezed", n, m)
+        return cls("squeezed", float(n), complex(m))
 
-    def moments(self, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(N, M) sampled on the grid, validated for physicality."""
-        n = _as_moment_array(self.mean_occupation, grid, "mean occupation",
-                             even_required=False).real.astype(float)
-        m = _as_moment_array(self.pair_moment, grid, "pair moment",
-                             even_required=True).astype(complex)
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(m))):
+    def moments(self) -> tuple[float, complex]:
+        """(N, M), validated for physicality."""
+        if np.ndim(self.mean_occupation) or np.ndim(self.pair_moment):
+            raise InvalidMatrixError(
+                "mean occupation and pair moment must be scalars")
+        n, m = float(np.real(self.mean_occupation)), complex(self.pair_moment)
+        if not (np.isfinite(n) and np.isfinite(m)):
             raise InvalidMatrixError(
                 "mean occupation and pair moment must be finite")
-        if np.any(n < 0):
+        if n < 0:
             raise InvalidMatrixError("mean occupation must be non-negative")
         # both sides may overflow to inf for N above ~1e154; inf > inf is False
         with np.errstate(over="ignore"):
             too_large = np.abs(m) ** 2 > n * (n + 1.0) * (1 + 1e-9) + 1e-30
-        if np.any(too_large):
+        if too_large:
             raise InvalidMatrixError(
                 "pair moment too large: |M|^2 <= N (N + 1) is required")
         return n, m
-
-    def quadrature_covariance(
-            self, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V_XX, V_YY, V_XY); det = 1/4 exactly for pure states."""
-        n, m = self.moments(grid)
-        v_xx = n + 0.5 + m.real
-        v_yy = n + 0.5 - m.real
-        v_xy = m.imag
-        return v_xx, v_yy, v_xy

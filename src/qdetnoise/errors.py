@@ -22,7 +22,11 @@ class NotAValidDetectorError(QDetNoiseError):
 
 
 class DegenerateReadoutError(QDetNoiseError):
-    """The chosen readout quadrature carries no signal at zero frequency."""
+    """The readout carries no usable signal.
+
+    Either the chosen quadrature has no gain at zero frequency, or the
+    sideband record of an occupied oscillator has no positive red weight.
+    """
 
 
 class OpticalSpringInstabilityError(QDetNoiseError):
@@ -30,4 +34,4 @@ class OpticalSpringInstabilityError(QDetNoiseError):
 
 
 class InvalidMatrixError(QDetNoiseError):
-    """A matrix or moment function violates Hermiticity/physicality requirements."""
+    """A matrix or an input state's moments violate Hermiticity/physicality."""

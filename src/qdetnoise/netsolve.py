@@ -18,6 +18,11 @@ Second moments of the Gaussian input state then give every unsymmetrized
 spectrum, and the commutator part gives every susceptibility in closed form
 through the controllability Gramian, with no numerical Hilbert transforms.
 
+Both solvers take a symmetric grid (``make_symmetric_grid``) and solve R
+once per grid point, in one batch; the value at -omega is the reversed
+array. Input states are white: each line carries frequency-independent
+moments (N, M).
+
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
 """
@@ -211,22 +216,18 @@ def build_one_sided_cavity(params: CavityParams,
     )
 
 
-def _resolvent_apply(drift: np.ndarray, rhs: np.ndarray,
-                     omegas: np.ndarray) -> np.ndarray:
-    """R(omega) @ rhs for every omega, R(omega) = (-i omega I - A)^{-1}."""
-    n = drift.shape[0]
-    lhs = (-1j * omegas)[:, None, None] * np.eye(n) - drift[None, :, :]
-    return np.linalg.solve(lhs, np.broadcast_to(rhs, (omegas.size,) + rhs.shape))
+def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
+                     grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_O + C^T mu_O)^T R(omega) rhs for the readout and the force.
 
-
-def _observable_rows(net: LinearNetwork, omegas: np.ndarray) -> dict[str, np.ndarray]:
-    """row_O(omega) for the readout ('z') and force ('f') observables."""
-    rb = _resolvent_apply(net.drift, net.input_coupling, omegas)
-    rows = {}
-    for key, obs in (("z", net.readout), ("f", net.force)):
-        eff = net._effective_mode_row(obs)
-        rows[key] = np.einsum("n,knm->km", eff, rb) + obs.mu @ net.feedthrough
-    return rows
+    One batched solve of R(omega) = (-i omega I - A)^{-1} per grid point;
+    callers on a symmetric grid read -omega as the reversed array.
+    """
+    w = grid.points
+    lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
+    r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+    return tuple(np.einsum("n,knm->km", net._effective_mode_row(obs), r_rhs)
+                 for obs in (net.readout, net.force))
 
 
 def solve_susceptibilities(net: LinearNetwork,
@@ -244,35 +245,29 @@ def solve_susceptibilities(net: LinearNetwork,
 
     which splits the commutator kernel into its lower-half-plane (causal)
     poles plus the instantaneous feedthrough part, taken with weight 1/2.
+    Requires a symmetric grid, which supplies s_AB(-omega) by reversal.
     """
+    grid.require_symmetric("susceptibilities")
     hbar = net.units.hbar
-    gram = net._gramian
     b, d = net.input_coupling, net.feedthrough
-    eff = {"z": net._effective_mode_row(net.readout),
-           "f": net._effective_mode_row(net.force)}
-    mu = {"z": net.readout.mu, "f": net.force.mu}
-    v = {key: gram @ np.conj(eff[key]) + b @ (d.conj().T @ np.conj(mu[key]))
-         for key in ("z", "f")}
+    pair = (net.readout, net.force)
+    v = [net._gramian @ np.conj(net._effective_mode_row(obs))
+         + b @ (d.conj().T @ np.conj(obs.mu)) for obs in pair]
+    s = _observable_rows(net, np.column_stack(v), grid)
     dd = d @ d.conj().T
 
-    w = grid.points
-    omegas = np.concatenate([w, -w])
-    rv = _resolvent_apply(net.drift, np.column_stack([v["z"], v["f"]]), omegas)
-    k = w.size
-
-    def chi(a_key: str, b_col: int, b_key: str) -> ComplexSpectrum:
-        s = np.einsum("n,kn->k", eff[a_key], rv[:, :, b_col])
-        s_pos, s_neg = s[:k], s[k:]
-        dterm = mu[a_key] @ dd @ np.conj(mu[b_key])
-        vals = (1j / hbar) * (s_pos - np.conj(s_neg)) - np.imag(dterm) / hbar
+    def chi(i: int, j: int) -> ComplexSpectrum:
+        s_ij = s[i][:, j]
+        dterm = pair[i].mu @ dd @ np.conj(pair[j].mu)
+        vals = (1j / hbar) * (s_ij - np.conj(s_ij[::-1])) - np.imag(dterm) / hbar
         return ComplexSpectrum(grid, vals)
 
     return SusceptibilitySet(
         grid=grid,
-        chi_zf=chi("z", 1, "f"),
-        chi_ff=chi("f", 1, "f"),
-        chi_zz=chi("z", 0, "z"),
-        chi_fz=chi("f", 0, "z"),
+        chi_zf=chi(0, 1),
+        chi_ff=chi(1, 1),
+        chi_zz=chi(0, 0),
+        chi_fz=chi(1, 0),
     )
 
 
@@ -281,35 +276,28 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
 
     Requires a symmetric grid, since S_AB(omega) couples the transfer rows at
     +omega and -omega. Input lines are uncorrelated with each other; each line
-    carries the (N, M) moments of its own InputState, with the canonical field
-    commutator fixing the vacuum part.
+    carries the frequency-independent (N, M) moments of its own InputState,
+    with the canonical field commutator fixing the vacuum part.
     """
     grid.require_symmetric("unsymmetrized spectra")
-    w = grid.points
-    rows = _observable_rows(net, w)
-    z, f = rows["z"], rows["f"]
+    rows = _observable_rows(net, net.input_coupling, grid)
+    z, f = (row + obs.mu @ net.feedthrough
+            for row, obs in zip(rows, (net.readout, net.force)))
     z_neg, f_neg = z[::-1], f[::-1]
-
-    n_list, m_list = [], []
-    for state in net.input_states:
-        n_j, m_j = state.moments(grid)
-        n_list.append(n_j)
-        m_list.append(m_j)
-    n_arr = np.array(n_list).T        # (n_omega, n_lines)
-    m_arr = np.array(m_list).T
-    n_neg = n_arr[::-1]
+    n_arr, m_arr = (np.array(col) for col in
+                    zip(*(state.moments() for state in net.input_states)))
 
     def cross(a, a_neg, b, b_neg) -> np.ndarray:
         return np.sum(
             a * b_neg * m_arr
-            + a * np.conj(b) * (1.0 + n_neg)
+            + a * np.conj(b) * (1.0 + n_arr)
             + np.conj(a_neg) * b_neg * n_arr
             + np.conj(a_neg) * np.conj(b) * np.conj(m_arr),
             axis=1)
 
     def auto(a, a_neg) -> np.ndarray:
         vals = (2.0 * np.real(np.sum(a * a_neg * m_arr, axis=1))
-                + np.sum(np.abs(a) ** 2 * (1.0 + n_neg), axis=1)
+                + np.sum(np.abs(a) ** 2 * (1.0 + n_arr), axis=1)
                 + np.sum(np.abs(a_neg) ** 2 * n_arr, axis=1))
         return vals.astype(complex)
 

@@ -197,7 +197,7 @@ class TestTotalOutputSpectrum:
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
         grid = q.make_symmetric_grid(2.0, 64)
         with pytest.raises(q.OpticalSpringInstabilityError):
-            q.total_output_spectrum(params, osc, grid)
+            q.sideband_asymmetry(params, osc, grid)
 
     def test_units_must_agree(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=1e-5, theta=0.0,
@@ -205,13 +205,13 @@ class TestTotalOutputSpectrum:
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
         grid = q.make_symmetric_grid(2.0, 64)
         with pytest.raises(ValueError, match="unit"):
-            q.total_output_spectrum(params, osc, grid)
+            q.sideband_asymmetry(params, osc, grid)
 
     def test_motional_peak_stands_on_the_floor(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=2.0)
         grid = q.asymmetry_grid(params, osc)
-        total = q.total_output_spectrum(params, osc, grid).values.real
+        total = q.sideband_asymmetry(params, osc, grid).spectrum_red.values.real
         susc = q.cavity_susceptibilities(params, grid)
         floor = q.normalize(q.cavity_spectra(params, grid),
                             susc).imprecision.values.real

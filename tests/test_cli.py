@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qdetnoise as q
 from qdetnoise import cli
+from qdetnoise._format import format_e16
 from qdetnoise.cli import RunConfig, main, parse_config, parse_input_state
 
 
@@ -427,6 +428,49 @@ class TestExitCodes:
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--gbar=1e200", "--n-half=2"],
+        ["qubit", "--gbar=1e200"],
+        ["mimo-check", "--mimo-input={blocks}"],
+    ], ids=["spectra", "qubit", "mimo-check"])
+    def test_overflowing_results_exit_2(self, tmp_path, capsys, argv):
+        # finite configurations whose rates, responses or determinants overflow
+        blocks, out = tmp_path / "blocks.csv", tmp_path / "x.csv"
+        cells = np.diag([1e90] * 4).ravel()  # det = 1e360
+        blocks.write_text(",".join(["0.0"] + [f"{c!r},0.0" for c in cells.tolist()])
+                          + "\n")
+        code = main([arg.format(blocks=blocks) for arg in argv]
+                    + ["--out", str(out)])
+        assert code == 2
+        assert "overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--gbar=1e200", "--input=thermal:1", "--n-half=2"],
+        ["check", "--gbar=1e200", "--n-half=2"],
+    ], ids=["spectra", "check"])
+    def test_overflowing_engine_results_exit_2(self, tmp_path, argv):
+        # in a child process: the engine's overflow warns, and the suite turns
+        # every RuntimeWarning into an error
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdetnoise", *argv, f"--out={out}"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "overflows float64" in proc.stderr
+        assert not out.exists()
+
+    def test_unresolved_red_sideband_exits_4(self, tmp_path, capsys):
+        # an occupied oscillator whose red sideband area comes out negative
+        out = tmp_path / "m.json"
+        code = main(["mech", "--gamma=0.0566", "--delta=0", "--gbar=1.5e-07",
+                     "--theta=-1.03", "--n-occ=1.13e-05", "--gamma-m=4.9e-07",
+                     "--format=json", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "area" in err and "n_mean" in err and "theta" in err
+        assert not out.exists()
+
     def test_missing_output_directory_exits_1(self, tmp_path, capsys):
         code = main(["qubit", "--out", str(tmp_path / "no/such/dir/x.csv")])
         assert code == 1
@@ -662,6 +706,13 @@ class TestWriter:
 
     def written(self, path, fmt, columns, scalars=None):
         cfg = RunConfig("spectra", fmt=fmt, out=str(path))
+        if not all(np.isfinite(col).all() for name, col in columns.items()
+                   if name != "verdict"):
+            # a non-finite cell is an overflowed result, never an artifact
+            with pytest.raises(ValueError, match="overflows float64"):
+                cli._write(cfg, columns, scalars)
+            assert not path.exists()
+            return
         cli._write(cfg, columns, scalars)
         expected = reference_artifact(cfg, columns, scalars or {})
         assert path.read_bytes() == expected.encode("utf-8")
@@ -669,10 +720,18 @@ class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_adversarial_cells(self, tmp_path, fmt):
         cells = adversarial_floats()
-        verdicts = [list(q.Verdict)[i % 3] for i in range(cells.size)]
+        finite = np.isfinite(cells)
+        verdicts = [list(q.Verdict)[i % 3] for i in range(finite.sum())]
         self.written(tmp_path / f"a.{fmt}", fmt,
-                     {"x": cells, "reversed": cells[::-1], "verdict": verdicts},
+                     {"x": cells[finite], "reversed": cells[finite][::-1],
+                      "verdict": verdicts},
                      {"ratio": math.inf, "zero": -0.0})
+        for bad in cells[~finite]:
+            self.written(tmp_path / f"b.{fmt}", fmt,
+                         {"x": np.append(cells[finite], bad)})
+        text = format_e16(cells[~finite])
+        assert [bytes(row[row != 0]).decode() for row in text] == [
+            "%.16e" % cell for cell in cells[~finite]]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("extra", [-1, 0, 1])

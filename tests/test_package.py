@@ -57,7 +57,7 @@ def test_scipy_is_imported_only_for_the_lyapunov_gramian(tmp_path):
 def test_public_names_are_pinned():
     assert sorted(q.__all__) == [
         "AsymmetryResult", "CavityParams", "ComplexSpectrum",
-        "ConstraintReport", "CouplingSpec", "DegenerateReadoutError",
+        "ConstraintReport", "DegenerateReadoutError",
         "FrequencyGrid", "GridMismatchError", "InputState",
         "InvalidMatrixError", "LinearNetwork", "MechOscillator",
         "NormalizedSpectra", "NotAValidDetectorError", "Observable",
@@ -74,8 +74,8 @@ def test_public_names_are_pinned():
         "positivity_margin", "quantum_limit_residuals", "qubit_rates",
         "response_denominator", "sideband_asymmetry",
         "solve_susceptibilities", "solve_unsym_spectra", "symmetrize",
-        "thermal_force_spectrum", "total_output_spectrum",
-        "uncertainty_gap", "uncertainty_gap_branches",
+        "thermal_force_spectrum", "uncertainty_gap",
+        "uncertainty_gap_branches",
     ]
     for name in q.__all__:
         assert getattr(q, name) is not None, name
