@@ -47,7 +47,6 @@ from .constraints import (
     positivity_margin,
     quantum_limit_residuals,
     uncertainty_gap,
-    uncertainty_gap_branches,
 )
 from .core import (
     CavityParams,
@@ -134,5 +133,4 @@ __all__ = [
     "symmetrize",
     "thermal_force_spectrum",
     "uncertainty_gap",
-    "uncertainty_gap_branches",
 ]

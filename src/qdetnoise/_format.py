@@ -7,7 +7,7 @@ built at import from exact integers, about 2 ms), and Dekker's error-free
 product splits |x| * hi into its rounded value p and exact error, so
 p + t carries |x| * 10**(16 - E) to about 1e-14 units of N: enough to round
 every cell except those within ``_TIE_GUARD`` of a half-way point.  Those
-cells, and the non-finite ones, are formatted by Python's ``%`` instead.
+cells are formatted by Python's ``%`` instead.  Every cell must be finite.
 Values beyond 1e+-250 are pre-scaled by 2**-+200, which is exact, so that no
 intermediate overflows or underflows.
 
@@ -63,16 +63,16 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def format_e16(values: np.ndarray) -> np.ndarray:
-    """The bytes of ``"%.16e" % v`` for every v, as uint8 of shape
+    """The bytes of ``"%.16e" % v`` for every finite v, as uint8 of shape
     ``values.shape + (WIDTH,)``, each cell padded with zero bytes."""
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
     size = flat.size
     mag = np.abs(flat)
-    cells = np.flatnonzero(np.isfinite(mag) & (mag > 0.0))
+    cells = np.flatnonzero(mag > 0.0)
     a = mag[cells]
     e = np.floor(np.log10(a)).astype(np.int64)
     p, t = np.zeros_like(a), np.zeros_like(a)
-    slow = [np.flatnonzero(~np.isfinite(mag))]
+    slow = []
     todo = np.arange(cells.size)
     while todo.size:
         p_todo, t_todo = _scaled(a[todo], e[todo])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,23 +158,22 @@ def thermal_force_spectrum(osc: MechOscillator, grid: FrequencyGrid) -> ComplexS
     """Symmetrized spectrum of the thermal Langevin force on the oscillator.
 
     Fluctuation-dissipation form for Ohmic damping,
-    ``hbar * m * gamma_m * omega * coth(hbar*omega / (2*kB*T))``, evaluated
-    at the oscillator's effective temperature.  At T = 0 this degrades to
-    the zero-point floor ``hbar * m * gamma_m * |omega|``.  The values are
-    real and even in frequency.
+    ``hbar * m * gamma_m * omega * coth(hbar*omega / (2*T))``, evaluated
+    at the oscillator's effective temperature T, an energy (k_B = 1).  At
+    T = 0 this degrades to the zero-point floor ``hbar * m * gamma_m *
+    |omega|``.  The values are real and even in frequency.
     """
     hbar = osc.units.hbar
-    k_b = osc.units.k_B
     omega = grid.points
     temp = osc.t_eff
     if temp == 0.0:
         weight = np.abs(omega)
     else:
-        x = hbar * omega / (2.0 * k_b * temp)
+        x = hbar * omega / (2.0 * temp)
         weight = np.empty_like(omega)
         small = np.abs(x) < 1e-8
-        # omega*coth(x) -> (2 kB T / hbar) * (1 + x^2/3) as omega -> 0
-        weight[small] = (2.0 * k_b * temp / hbar) * (1.0 + x[small] ** 2 / 3.0)
+        # omega*coth(x) -> (2 T / hbar) * (1 + x^2/3) as omega -> 0
+        weight[small] = (2.0 * temp / hbar) * (1.0 + x[small] ** 2 / 3.0)
         weight[~small] = omega[~small] / np.tanh(x[~small])
     values = hbar * osc.mass * osc.gamma_m * weight
     return ComplexSpectrum(grid, values.astype(complex))
@@ -248,7 +247,7 @@ def sideband_asymmetry(
     omega_m, else :class:`GridMismatchError` is raised.  A warning is
     emitted outside the resolved-sideband regime (gamma > 0.1 * omega_m),
     where the two sidebands overlap and the areas lose meaning.  A red area
-    that is not positive although n_mean > 0 raises
+    that is not positive although n_occupation > 0 raises
     :class:`DegenerateReadoutError`: the readout does not resolve the peak.
     """
     omega_m = osc.omega_m
@@ -258,8 +257,8 @@ def sideband_asymmetry(
             "integrated weights are unreliable",
             stacklevel=2,
         )
-    red = params_template.replace(delta=-omega_m)
-    blue = params_template.replace(delta=+omega_m)
+    red = replace(params_template, delta=-omega_m)
+    blue = replace(params_template, delta=+omega_m)
 
     span = 0.0
     at_omega_m = FrequencyGrid(np.array([omega_m]))
@@ -283,12 +282,12 @@ def sideband_asymmetry(
     peak_blue = total_blue.values.real - floor_blue
     area_red = float(np.sum(dx * (peak_red[1:] + peak_red[:-1]) / 2.0))
     area_blue = float(np.sum(dx * (peak_blue[1:] + peak_blue[:-1]) / 2.0))
-    if osc.n_mean == 0.0:
+    if osc.n_occupation == 0.0:
         ratio = math.inf
     elif area_red <= 0.0:
         raise DegenerateReadoutError(
             f"red sideband area {area_red:.9g} is not positive for an "
-            f"oscillator with n_mean={osc.n_mean:.9g} at "
+            f"oscillator with n_occupation={osc.n_occupation:.9g} at "
             f"theta={params_template.theta:.9g}: the readout does not resolve "
             "the motional peak")
     else:

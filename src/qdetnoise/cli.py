@@ -19,8 +19,8 @@ only metadata.  One writer, ``_write``, produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
 non-finite float flag or input state, and a finite configuration whose
-moments, spectra, rates or determinants overflow float64, which writes no
-file) or malformed input file, 3 constraint violation (including invalid
+arithmetic overflows float64 or divides by zero, which writes no file) or
+malformed input file, 3 constraint violation (including invalid
 spectral matrices), 4 physically degenerate regime (no readout gain, no
 positive red sideband weight for an occupied oscillator, unstable spring).
 """
@@ -449,7 +449,10 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{n_cells} cells per row do not form a square even-dimension block")
     data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    blocks = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(len(data), dim, dim)
+    # 1j * inf puts 0 * inf = nan in the real part: a non-finite cell, which
+    # mimo_quantum_limit rejects as a violation
+    with np.errstate(invalid="ignore"):
+        blocks = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(len(data), dim, dim)
     return data[:, 0], blocks
 
 
@@ -460,11 +463,7 @@ def cmd_mimo_check(cfg: RunConfig) -> int:
     dets = mimo_quantum_limit(blocks)
     dim = blocks.shape[1]
     traces = np.einsum("kii->k", blocks).real
-    with np.errstate(over="ignore"):
-        scale = np.maximum(traces / dim, 0.0) ** dim
-    if not np.isfinite(scale).all():
-        raise ValueError("determinant threshold overflows float64: the "
-                         "spectral matrices are out of range")
+    scale = np.maximum(traces / dim, 0.0) ** dim
     threshold = 1e-9 * np.maximum(scale, np.finfo(float).tiny)
     # mimo_quantum_limit has accepted every block as positive semidefinite,
     # so a negative determinant is round-off and the verdict is two-way
@@ -486,7 +485,9 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return _COMMANDS[cfg.command][0](cfg)
+        # float64 overflow, 0/0 and x/0 raise here, to exit 2 below
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[cfg.command][0](cfg)
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3
@@ -500,7 +501,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         print(f"error: a result overflows float64 ({exc}): the configuration "
               "is out of range", file=sys.stderr)
         return 2

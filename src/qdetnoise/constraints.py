@@ -110,19 +110,6 @@ def uncertainty_gap(spectra: SpectraSet, susc: SusceptibilitySet,
     return d0 - np.abs(im_term)
 
 
-def uncertainty_gap_branches(spectra: SpectraSet, susc: SusceptibilitySet,
-                             units: UnitConvention = UnitConvention()
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """The two signed branches whose pointwise minimum is the gap.
-
-    The underlying positivity argument yields one inequality per sign of the
-    auxiliary combination; the absolute value in uncertainty_gap is their
-    tighter envelope.
-    """
-    d0, im_term, _ = _gap_terms(spectra, susc, units.hbar)
-    return d0 - im_term, d0 + im_term
-
-
 def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terms of the gap from one read of the five spectra.
@@ -215,7 +202,7 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
 
 
 def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
-    """Determinant of the spectral matrix per frequency.
+    """Determinant per frequency of an (n_omega, 2N, 2N) stack of spectral matrices.
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
     thermal admixtures push it strictly positive. The input must be finite,
@@ -223,8 +210,6 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
     every frequency; a determinant that overflows float64 raises ValueError.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
-    if mat.ndim == 2:
-        mat = mat[None, :, :]
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2:
         raise InvalidMatrixError("expected an (n_omega, 2N, 2N) stack of matrices")
     # NaN compares false against every tolerance below, so it must be caught here

@@ -7,7 +7,7 @@ Conventions used throughout the package:
   the complex omega plane.
 * Spectral densities are double sided and defined through
   S_AB(omega) = integral dtau e^{i omega tau} <A(tau) B(0)>.
-* hbar (and k_B) enter only through UnitConvention; the default is 1.
+* hbar enters only through UnitConvention; the default is 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidMatrixError
+from .errors import GridMismatchError
 
 
 def _require_finite(record) -> None:
@@ -33,20 +33,17 @@ def _require_finite(record) -> None:
 
 @dataclass(frozen=True)
 class UnitConvention:
-    """Values of the physical constants all formulas read from.
+    """Value of hbar all formulas read; the default is 1.
 
-    Defaults hbar = k_B = 1; override only when feeding laboratory numbers.
+    Override it only when feeding laboratory numbers.
     """
 
     hbar: float = 1.0
-    k_B: float = 1.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if not (self.hbar > 0):
             raise ValueError("hbar must be positive")
-        if not (self.k_B > 0):
-            raise ValueError("k_B must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,58 +142,36 @@ class CavityParams:
         if not (self.gbar > 0):
             raise ValueError("gbar must be positive")
 
-    def replace(self, **changes) -> "CavityParams":
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class MechOscillator:
     """Damped mechanical mode in a thermal environment.
 
-    Give exactly one of n_occupation (mean phonon number) or temperature; the
-    other is derived once from the Bose factor at omega_m and cached.
+    n_occupation is the mean phonon number at omega_m, the quantity the
+    sideband weights n and n + 1 read out.
     """
 
     omega_m: float
     gamma_m: float
     mass: float = 1.0
-    n_occupation: float | None = None
-    temperature: float | None = None
+    n_occupation: float = dataclasses.field(kw_only=True)
     units: UnitConvention = UnitConvention()
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if not (self.omega_m > 0 and self.gamma_m > 0 and self.mass > 0):
             raise ValueError("omega_m, gamma_m and mass must be positive")
-        if (self.n_occupation is None) == (self.temperature is None):
-            raise ValueError("give exactly one of n_occupation or temperature")
-        if self.n_occupation is not None:
-            n = float(self.n_occupation)
-            if n < 0:
-                raise ValueError("n_occupation must be non-negative")
-            if n == 0.0:
-                temp = 0.0
-            else:
-                temp = self.units.hbar * self.omega_m / (
-                    self.units.k_B * math.log1p(1.0 / n))
-        else:
-            temp = float(self.temperature)
-            if not (temp > 0):
-                raise ValueError("temperature must be positive")
-            x = self.units.hbar * self.omega_m / (self.units.k_B * temp)
-            n = 1.0 / math.expm1(x)
-        object.__setattr__(self, "_n_mean", n)
-        object.__setattr__(self, "_t_eff", temp)
-
-    @property
-    def n_mean(self) -> float:
-        """Mean occupation at omega_m."""
-        return self._n_mean
+        if not (self.n_occupation >= 0):
+            raise ValueError("n_occupation must be non-negative")
 
     @property
     def t_eff(self) -> float:
-        """Temperature reproducing n_mean (0 for the ground state)."""
-        return self._t_eff
+        """Effective temperature: the energy k_B T whose Bose factor at omega_m
+        is n_occupation (0 at n = 0)."""
+        n = self.n_occupation
+        if n == 0.0:
+            return 0.0
+        return self.units.hbar * self.omega_m / math.log1p(1.0 / n)
 
     def bare_susceptibility(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """Mechanical response 1 / [m (omega_m^2 - omega^2 - i gamma_m omega)]."""
@@ -220,48 +195,44 @@ class InputState:
     mean_occupation: float = 0.0
     pair_moment: complex = 0.0
 
+    def __post_init__(self) -> None:
+        if np.ndim(self.mean_occupation) or np.ndim(self.pair_moment):
+            raise ValueError("mean occupation and pair moment must be scalars")
+        n, m = float(np.real(self.mean_occupation)), complex(self.pair_moment)
+        if not (np.isfinite(n) and np.isfinite(m)):
+            raise ValueError("mean occupation and pair moment must be finite")
+        if n < 0:
+            raise ValueError("mean occupation must be non-negative")
+        # both sides may overflow to inf for N above ~1e154; inf > inf is False
+        with np.errstate(over="ignore"):
+            too_large = np.abs(m) ** 2 > n * (n + 1.0) * (1 + 1e-9) + 1e-30
+        if too_large:
+            raise ValueError(
+                "pair moment too large: |M|^2 <= N (N + 1) is required")
+        object.__setattr__(self, "mean_occupation", n)
+        object.__setattr__(self, "pair_moment", m)
+
     @classmethod
     def vacuum(cls) -> "InputState":
         return cls("vacuum")
 
     @classmethod
     def thermal(cls, n_th: float) -> "InputState":
-        n = np.asarray(n_th, dtype=float)
-        if n.ndim or not (np.isfinite(n) and n >= 0):
-            raise ValueError(
-                "thermal occupation must be a finite, non-negative number")
-        return cls("thermal", float(n))
+        return cls("thermal", n_th)
 
     @classmethod
     def squeezed(cls, xi: complex) -> "InputState":
         """Pure squeezed state with complex squeeze parameter xi = r e^{i phi}."""
-        x = np.asarray(xi, dtype=complex)
-        if x.ndim or not np.isfinite(x):
-            raise ValueError("squeeze parameter must be a finite number")
-        r, phi = np.abs(x), np.angle(x)
+        r, phi = np.abs(xi), np.angle(xi)
         with np.errstate(over="ignore", invalid="ignore"):
             n = np.sinh(r) ** 2
             m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
-        if not (np.isfinite(n) and np.isfinite(m)):
-            raise ValueError(f"squeeze magnitude {r:.9g} is too large: "
-                             "its moments overflow float64")
-        return cls("squeezed", float(n), complex(m))
+        try:
+            return cls("squeezed", n, m)
+        except ValueError as exc:
+            raise ValueError(f"squeeze magnitude {r} gives no state: {exc}"
+                             ) from None
 
     def moments(self) -> tuple[float, complex]:
-        """(N, M), validated for physicality."""
-        if np.ndim(self.mean_occupation) or np.ndim(self.pair_moment):
-            raise InvalidMatrixError(
-                "mean occupation and pair moment must be scalars")
-        n, m = float(np.real(self.mean_occupation)), complex(self.pair_moment)
-        if not (np.isfinite(n) and np.isfinite(m)):
-            raise InvalidMatrixError(
-                "mean occupation and pair moment must be finite")
-        if n < 0:
-            raise InvalidMatrixError("mean occupation must be non-negative")
-        # both sides may overflow to inf for N above ~1e154; inf > inf is False
-        with np.errstate(over="ignore"):
-            too_large = np.abs(m) ** 2 > n * (n + 1.0) * (1 + 1e-9) + 1e-30
-        if too_large:
-            raise InvalidMatrixError(
-                "pair moment too large: |M|^2 <= N (N + 1) is required")
-        return n, m
+        """(N, M), as checked at construction."""
+        return self.mean_occupation, self.pair_moment

@@ -34,4 +34,4 @@ class OpticalSpringInstabilityError(QDetNoiseError):
 
 
 class InvalidMatrixError(QDetNoiseError):
-    """A matrix or an input state's moments violate Hermiticity/physicality."""
+    """A MIMO spectral matrix is misshapen, non-finite, non-Hermitian or indefinite."""

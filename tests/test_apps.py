@@ -141,14 +141,16 @@ class TestThermalForce:
         assert np.array_equal(vals, HBAR * 1e-3 * np.abs(grid.points))
 
     def test_even_in_frequency(self):
-        osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-3, temperature=0.8)
+        # k_B T = 0.8 hbar omega_m
+        osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-3,
+                               n_occupation=1.0 / math.expm1(1.0 / 0.8))
         grid = q.make_symmetric_grid(2.0, 16)
         vals = q.thermal_force_spectrum(osc, grid).values.real
         assert np.allclose(vals, vals[::-1], rtol=1e-13)
 
     def test_continuous_through_zero(self):
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-3, n_occupation=2.0)
-        k_b_t = osc.units.k_B * osc.t_eff
+        k_b_t = osc.t_eff
         # straddle the series/exact switch at |x| = 1e-8
         grid = q.FrequencyGrid(np.array([-1e-7, -1e-9, 0.0, 1e-9, 1e-7]))
         vals = q.thermal_force_spectrum(osc, grid).values.real
@@ -158,8 +160,11 @@ class TestThermalForce:
 
     def test_classical_limit_grows_linearly_with_t(self):
         grid = q.FrequencyGrid(np.array([-1.0, 0.0, 1.0]))
-        hot = q.MechOscillator(omega_m=1.0, gamma_m=1e-3, temperature=500.0)
-        hotter = q.MechOscillator(omega_m=1.0, gamma_m=1e-3, temperature=1000.0)
+        # k_B T = 500 and 1000 hbar omega_m
+        hot = q.MechOscillator(omega_m=1.0, gamma_m=1e-3,
+                               n_occupation=1.0 / math.expm1(1.0 / 500.0))
+        hotter = q.MechOscillator(omega_m=1.0, gamma_m=1e-3,
+                                  n_occupation=1.0 / math.expm1(1.0 / 1000.0))
         v1 = q.thermal_force_spectrum(hot, grid).values.real[2]
         v2 = q.thermal_force_spectrum(hotter, grid).values.real[2]
         assert v2 / v1 == pytest.approx(2.0, rel=1e-3)

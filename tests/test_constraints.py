@@ -29,13 +29,6 @@ class TestUncertaintyGap:
         gap = q.uncertainty_gap(q.symmetrize(uns), susc)
         assert np.all(gap > 0.0)
 
-    def test_gap_is_min_of_the_two_branches(self, generic_params, grid129):
-        uns, susc = _engine_run(generic_params, grid129, q.InputState.thermal(0.7))
-        sym = q.symmetrize(uns)
-        gap = q.uncertainty_gap(sym, susc)
-        lo, hi = q.uncertainty_gap_branches(sym, susc)
-        assert np.allclose(gap, np.minimum(lo, hi), rtol=1e-13, atol=1e-15)
-
     def test_factored_form_identity(self):
         # gap == |chi_zf|^2 (r1 - hbar |r2|), with r1, r2 the referred
         # residuals: a nontrivial algebraic identity tying the two layers
@@ -231,6 +224,9 @@ class TestMimo:
     def test_bad_shape_rejected(self):
         with pytest.raises(q.InvalidMatrixError):
             q.mimo_quantum_limit(np.zeros((4, 3, 3), dtype=complex))
+        # a single matrix is not a stack of one
+        with pytest.raises(q.InvalidMatrixError):
+            q.mimo_quantum_limit(np.eye(2, dtype=complex))
 
 
 class TestKuboInReport:

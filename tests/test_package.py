@@ -75,7 +75,6 @@ def test_public_names_are_pinned():
         "response_denominator", "sideband_asymmetry",
         "solve_susceptibilities", "solve_unsym_spectra", "symmetrize",
         "thermal_force_spectrum", "uncertainty_gap",
-        "uncertainty_gap_branches",
     ]
     for name in q.__all__:
         assert getattr(q, name) is not None, name
