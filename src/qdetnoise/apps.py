@@ -16,6 +16,7 @@ in the lower half-plane, and symmetrized spectra are real.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -102,7 +103,8 @@ def qubit_rates(params: CavityParams) -> QubitReadoutResult:
     :class:`DegenerateReadoutError` when the chosen homodyne angle has no
     zero-frequency gain (``delta*cos(theta) = gamma*sin(theta)``), since no
     information reaches the record there, and ValueError when a rate
-    overflows float64.
+    overflows float64 or gamma and delta are so small that the squared
+    denominator (delta^2 + gamma^2)^2 is not a normal float.
     """
     gamma, delta, theta, gbar = params.gamma, params.delta, params.theta, params.gbar
     gain = delta * math.cos(theta) - gamma * math.sin(theta)
@@ -112,6 +114,9 @@ def qubit_rates(params: CavityParams) -> QubitReadoutResult:
             f"(gamma={gamma:g}, delta={delta:g}, theta={theta:g})"
         )
     denom = delta * delta + gamma * gamma
+    if denom * denom < sys.float_info.min:
+        raise ValueError(f"(delta^2 + gamma^2)^2 underflows float64 at gamma={gamma:g}, "
+                         f"delta={delta:g}: the parameters are out of range")
     gamma_meas = 4.0 * gbar * gbar * gamma * gain * gain / (denom * denom)
     gamma_phi = 4.0 * gbar * gbar * gamma / denom
     if not (math.isfinite(gamma_meas) and math.isfinite(gamma_phi)):

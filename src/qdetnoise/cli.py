@@ -462,12 +462,15 @@ def cmd_mimo_check(cfg: RunConfig) -> int:
     omega, blocks = _read_mimo_blocks(Path(cfg.mimo_input))
     dets = mimo_quantum_limit(blocks)
     dim = blocks.shape[1]
-    traces = np.einsum("kii->k", blocks).real
-    scale = np.maximum(traces / dim, 0.0) ** dim
-    threshold = 1e-9 * np.maximum(scale, np.finfo(float).tiny)
+    mean = np.maximum(np.einsum("kii->k", blocks).real / dim, np.finfo(float).tiny)
     # mimo_quantum_limit has accepted every block as positive semidefinite,
-    # so a negative determinant is round-off and the verdict is two-way
-    verdicts = classify_verdicts(np.maximum(dets, 0.0), threshold)
+    # so a negative determinant is round-off and the verdict is two-way; and
+    # det <= mean**dim, so dividing by the mean eigenvalue dim times never
+    # overflows where mean**dim itself would
+    ratio = np.maximum(dets, 0.0)
+    for _ in range(dim):
+        ratio = ratio / mean
+    verdicts = classify_verdicts(ratio, np.full(ratio.shape, 1e-9))
     _write(cfg, {"omega": omega, "det": dets, "verdict": verdicts})
     return 0
 

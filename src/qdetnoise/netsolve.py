@@ -18,10 +18,18 @@ Second moments of the Gaussian input state then give every unsymmetrized
 spectrum, and the commutator part gives every susceptibility in closed form
 through the controllability Gramian, with no numerical Hilbert transforms.
 
-Both solvers take a symmetric grid (``make_symmetric_grid``) and solve R
-once per grid point, in one batch; the value at -omega is the reversed
-array. Input states are white: each line carries frequency-independent
-moments (N, M).
+Both solvers take a symmetric grid (``make_symmetric_grid``) and read the
+value at -omega as the reversed array. The drift is diagonalised once per
+network, A = V diag(lambda) V^{-1}, so that
+
+    R(omega) = V diag(1 / (-i omega - lambda)) V^{-1}
+
+and a transfer row on the whole grid is one (points x modes) matrix
+product. Near an exceptional point the eigenvectors lose about
+cond(V) * 1e-16 of relative accuracy, so the eigen path is taken only for
+cond(V) <= 1e6; otherwise, and for defective drifts, R is solved once per
+grid point in one batch. Input states are white: each line carries
+frequency-independent moments (N, M).
 
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
@@ -40,6 +48,9 @@ from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
 from .errors import GridMismatchError, StabilityError
 
 _SQRT2 = np.sqrt(2.0)
+# Largest eigenvector condition number for which the resolvent is formed
+# from the drift's eigen-decomposition; its error grows as cond(V) * 1e-16.
+_MAX_MODE_COND = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +133,16 @@ class LinearNetwork:
         states = tuple(states)
         if len(states) != m:
             raise ValueError(f"need one input state per line, got {len(states)}")
-        eig = np.linalg.eigvals(a)
-        if np.max(eig.real) >= 0:
-            raise StabilityError(
-                f"drift eigenvalue with Re = {np.max(eig.real):.3g} >= 0; "
-                "stationary spectra need a strictly decaying network")
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "input_coupling", b)
         object.__setattr__(self, "output_coupling", c)
         object.__setattr__(self, "feedthrough", d)
         object.__setattr__(self, "input_states", states)
+        rate = np.max(self._modes[0].real)
+        if rate >= 0:
+            raise StabilityError(
+                f"drift eigenvalue with Re = {rate:.3g} >= 0; "
+                "stationary spectra need a strictly decaying network")
 
     @property
     def n_modes(self) -> int:
@@ -140,6 +151,16 @@ class LinearNetwork:
     @property
     def n_lines(self) -> int:
         return self.input_coupling.shape[1]
+
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Drift eigenvalues lambda, with V of A = V diag(lambda) V^{-1}.
+
+        V is None when cond(V) exceeds _MAX_MODE_COND, as for a defective
+        drift or one near an exceptional point.
+        """
+        lam, v = np.linalg.eig(self.drift)
+        return lam, (v if np.linalg.cond(v) <= _MAX_MODE_COND else None)
 
     @cached_property
     def _gramian(self) -> np.ndarray:
@@ -220,14 +241,21 @@ def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
                      grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_O + C^T mu_O)^T R(omega) rhs for the readout and the force.
 
-    One batched solve of R(omega) = (-i omega I - A)^{-1} per grid point;
-    callers on a symmetric grid read -omega as the reversed array.
+    With V well conditioned, R(omega) = V diag(g(omega)) V^{-1} and each
+    result is g @ (p_O[:, None] * V^{-1} rhs) with p_O = row_O V. Otherwise
+    R(omega) = (-i omega I - A)^{-1} is solved once per grid point in one
+    batch. Callers on a symmetric grid read -omega as the reversed array.
     """
     w = grid.points
-    lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
-    r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
-    return tuple(np.einsum("n,knm->km", net._effective_mode_row(obs), r_rhs)
-                 for obs in (net.readout, net.force))
+    rows = [net._effective_mode_row(obs) for obs in (net.readout, net.force)]
+    lam, v = net._modes
+    if v is None:
+        lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
+        r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+        return tuple(np.einsum("n,knm->km", row, r_rhs) for row in rows)
+    g = 1.0 / ((-1j * w)[:, None] - lam)
+    q = np.linalg.solve(v, rhs)
+    return tuple(g @ ((row @ v)[:, None] * q) for row in rows)
 
 
 def solve_susceptibilities(net: LinearNetwork,

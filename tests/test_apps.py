@@ -47,6 +47,21 @@ class TestQubitRates:
         assert res.ratio == pytest.approx(1.0, rel=1e-12)
         assert res.theta_opt == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-100])
+    def test_underflowing_denominator_rejected(self, gamma):
+        # (delta^2 + gamma^2)^2 underflows to zero: ValueError, not a bare
+        # ZeroDivisionError from the division
+        params = q.CavityParams(gamma=gamma, delta=0.0, gbar=1.0, theta=math.pi / 2)
+        with pytest.raises(ValueError, match="out of range"):
+            q.qubit_rates(params)
+
+    def test_small_rates_stay_accurate(self):
+        # 1e-8 is far above the underflow guard: gamma_meas = gamma_phi = 4/gamma
+        params = q.CavityParams(gamma=1e-8, delta=0.0, gbar=1.0, theta=math.pi / 2)
+        res = q.qubit_rates(params)
+        assert res.gamma_meas == pytest.approx(4e8, rel=1e-14)
+        assert res.gamma_phi == pytest.approx(4e8, rel=1e-14)
+
     def test_frozen_generic_point(self):
         params = q.CavityParams(gamma=1.5, delta=-0.8, gbar=0.9, theta=0.3)
         res = q.qubit_rates(params)

@@ -399,6 +399,18 @@ class TestMimoCheckCommand:
             outputs.append(out.read_bytes().split(b"\n", 1)[1])  # after the config
         assert outputs[0] == outputs[1]
 
+    def test_wide_eigenvalue_spread_is_accepted(self, tmp_path):
+        # a valid block whose (trace/dim)**dim overflows float64 although its
+        # entries and determinant do not
+        row = np.diag([1e300, 1e-300, 1e300, 1e-300]).astype(complex)
+        cells = ["0.0"] + [repr(float(x)) for c in row.ravel() for x in (c.real, c.imag)]
+        src = tmp_path / "wide.csv"
+        src.write_text(",".join(cells) + "\n")
+        out = tmp_path / "wide.json"
+        argv = ["mimo-check", f"--mimo-input={src}", "--format=json", f"--out={out}"]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["verdict"] == ["quantum_limited"]
+
     def test_odd_block_dimension_exits_2(self, tmp_path, capsys):
         # 9 cells = 3x3 block: square but odd, so not quadrature pairs
         bad = tmp_path / "odd.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qdetnoise as q
 from conftest import draw_cavity
+from qdetnoise import netsolve
 
 HBAR = 1.0
 
@@ -25,6 +26,57 @@ def _random_stable_network(rng: np.random.Generator, n_modes: int = 2,
                            output_quad=rng.normal(size=2 * n_lines))
     return q.LinearNetwork(drift=a, input_coupling=b, output_coupling=c,
                            feedthrough=d, force=force, readout=readout)
+
+
+def _near_exceptional_network(n_modes: int, t: float,
+                              rng: np.random.Generator) -> q.LinearNetwork:
+    """Drift -I + (cyclic shift with corner t): a Jordan block at t = 0.
+
+    Its eigenvalues are -1 + t**(1/n) e^{2 pi i k/n}, and cond(V) grows as
+    t**(-(n-1)/n) as they merge.
+    """
+    a = -np.eye(n_modes) + np.eye(n_modes, k=1)
+    a[-1, 0] = t
+    shape = (n_modes, 2)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c = rng.normal(size=shape[::-1]) + 1j * rng.normal(size=shape[::-1])
+    return q.LinearNetwork(
+        drift=a, input_coupling=b, output_coupling=c,
+        feedthrough=np.eye(2, dtype=complex),
+        force=q.Observable(mode_quad=rng.normal(size=2 * n_modes),
+                           output_quad=np.zeros(4)),
+        readout=q.Observable(mode_quad=np.zeros(2 * n_modes),
+                             output_quad=rng.normal(size=4)))
+
+
+def _batched_rows(net: q.LinearNetwork, rhs: np.ndarray,
+                  grid: q.FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Reference resolvent: np.linalg.solve at every grid point, in one batch."""
+    w = grid.points
+    lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
+    r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+    return tuple(np.einsum("n,knm->km", net._effective_mode_row(obs), r_rhs)
+                 for obs in (net.readout, net.force))
+
+
+def _engine_outputs(net: q.LinearNetwork, grid: q.FrequencyGrid) -> dict:
+    susc = q.solve_susceptibilities(net, grid)
+    spectra = q.solve_unsym_spectra(net, grid)
+    return {name: getattr(result, name).values
+            for result, names in ((susc, ("chi_zf", "chi_ff", "chi_zz", "chi_fz")),
+                                  (spectra, ("s_zz", "s_zf", "s_ff")))
+            for name in names}
+
+
+def _deviation_from_batched_solve(net: q.LinearNetwork, grid: q.FrequencyGrid,
+                                  monkeypatch: pytest.MonkeyPatch) -> float:
+    """Largest relative deviation of any engine output from the reference."""
+    got = _engine_outputs(net, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(netsolve, "_observable_rows", _batched_rows)
+        ref = _engine_outputs(net, grid)
+    return max(np.max(np.abs(got[name] - ref[name]))
+               / max(np.max(np.abs(ref[name])), 1e-300) for name in got)
 
 
 class TestObservable:
@@ -115,6 +167,62 @@ class TestNetworkConstruction:
                                    output_quad=np.zeros(2)),
                 readout=q.Observable(mode_quad=np.zeros(4),
                                      output_quad=np.zeros(2)))
+
+
+class TestResolventPaths:
+    """Eigen-decomposition resolvent against one solve per grid point."""
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_defective_drift_takes_the_fallback(self, n_modes, grid129, monkeypatch):
+        # V of a Jordan block is numerically singular: the eigen path would be
+        # off by O(1) or more, so 1e-12 agreement means the batched solve ran
+        net = _near_exceptional_network(n_modes, 0.0, np.random.default_rng(5))
+        assert net._modes[1] is None
+        assert _deviation_from_batched_solve(net, grid129, monkeypatch) <= 1e-12
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_near_exceptional_drifts(self, n_modes, grid129, monkeypatch):
+        paths = set()
+        for t in 10.0 ** -np.arange(2, 15):
+            net = _near_exceptional_network(n_modes, t, np.random.default_rng(5))
+            paths.add(net._modes[1] is None)
+            deviation = _deviation_from_batched_solve(net, grid129, monkeypatch)
+            assert deviation <= 1e-9, t
+        assert paths == {False, True}  # both sides of the cond(V) threshold
+
+    def test_repeated_eigenvalues(self, grid129, monkeypatch):
+        # two identical uncoupled modes: a degenerate but diagonalisable drift
+        net = q.passive_network(
+            hamiltonian=np.diag([0.7, 0.7]), coupling=np.diag([1.2, 1.2]),
+            force=q.Observable(mode_quad=[1.0, 0.0, 0.5, 0.0],
+                               output_quad=np.zeros(4)),
+            readout=q.Observable(mode_quad=np.zeros(4),
+                                 output_quad=[0.3, 1.0, 0.8, -0.2]),
+            input_state=q.InputState.thermal(0.5))
+        assert net._modes[1] is not None
+        assert _deviation_from_batched_solve(net, grid129, monkeypatch) <= 1e-12
+
+    def test_non_normal_network(self, grid129, monkeypatch):
+        net = _random_stable_network(np.random.default_rng(11), n_modes=4)
+        assert not np.allclose(net._gramian, np.eye(4))
+        assert net._modes[1] is not None
+        assert _deviation_from_batched_solve(net, grid129, monkeypatch) <= 1e-11
+
+    def test_sixteen_mode_passive_network(self, grid129, monkeypatch):
+        rng = np.random.default_rng(12)
+        shape = (16, 16)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        shape = (3, 16)
+        coupling = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        net = q.passive_network(
+            hamiltonian=h, coupling=coupling,
+            force=q.Observable(mode_quad=rng.normal(size=32),
+                               output_quad=np.zeros(6)),
+            readout=q.Observable(mode_quad=np.zeros(32),
+                                 output_quad=rng.normal(size=6)),
+            input_state=q.InputState.squeezed(0.4 + 0.2j))
+        assert net._modes[1] is not None
+        assert _deviation_from_batched_solve(net, grid129, monkeypatch) <= 1e-11
 
 
 class TestEngineAgainstClosedForms:
