@@ -230,8 +230,10 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
         idx = int(np.argmax(np.min(eigs, axis=1) < 0))
         raise InvalidMatrixError(
             f"spectral matrix at grid index {idx} is not positive semidefinite")
+    # mantissas multiplied, exponents summed: no partial product under/overflows
+    mant, expo = np.frexp(eigs)
     with np.errstate(over="ignore"):
-        dets = np.prod(eigs, axis=1)
+        dets = np.ldexp(np.prod(mant, axis=1), np.sum(expo, axis=1))
     if not np.isfinite(dets).all():
         raise ValueError(
             f"determinant at grid index {int(np.argmin(np.isfinite(dets)))} "

@@ -14,9 +14,14 @@ and output quadratures becomes
     row_O(omega) = (alpha + C^T mu)^T R(omega) B + mu^T D,
 
 where alpha and mu are the complex mode and output coefficient vectors of O.
-Second moments of the Gaussian input state then give every unsymmetrized
-spectrum, and the commutator part gives every susceptibility in closed form
-through the controllability Gramian, with no numerical Hilbert transforms.
+Every unsymmetrized spectrum is one quadratic form in the input moments,
+
+    S_AB(omega) = sum_l X_A,l K_l X_B,l^dag,   K_l = [[1 + N_l, M_l], [M_l*, N_l]],
+
+with X_O = [row_O(omega), conj(row_O(-omega))], the moments (N_l, M_l) of line
+l, and the 1 from the field commutator. The commutator part gives every
+susceptibility in closed form through the controllability Gramian, with no
+numerical Hilbert transforms.
 
 Both solvers take a symmetric grid (``make_symmetric_grid``) and read the
 value at -omega as the reversed array. The drift is diagonalised once per
@@ -302,38 +307,30 @@ def solve_susceptibilities(net: LinearNetwork,
 def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     """Unsymmetrized spectra of the readout/force pair for the stored input state.
 
-    Requires a symmetric grid, since S_AB(omega) couples the transfer rows at
-    +omega and -omega. Input lines are uncorrelated with each other; each line
-    carries the frequency-independent (N, M) moments of its own InputState,
-    with the canonical field commutator fixing the vacuum part.
+    Lines are uncorrelated, each weighted by the kernel K_l of its own
+    InputState's moments (see the module docstring); S_zz, S_zf and S_ff are
+    entries of one (z, f) product, whose S_fz entry is unused. Requires a
+    symmetric grid, which supplies row_O(-omega) by reversal.
     """
     grid.require_symmetric("unsymmetrized spectra")
     rows = _observable_rows(net, net.input_coupling, grid)
-    z, f = (row + obs.mu @ net.feedthrough
-            for row, obs in zip(rows, (net.readout, net.force)))
-    z_neg, f_neg = z[::-1], f[::-1]
-    n_arr, m_arr = (np.array(col) for col in
-                    zip(*(state.moments() for state in net.input_states)))
-
-    def cross(a, a_neg, b, b_neg) -> np.ndarray:
-        return np.sum(
-            a * b_neg * m_arr
-            + a * np.conj(b) * (1.0 + n_arr)
-            + np.conj(a_neg) * b_neg * n_arr
-            + np.conj(a_neg) * np.conj(b) * np.conj(m_arr),
-            axis=1)
-
-    def auto(a, a_neg) -> np.ndarray:
-        vals = (2.0 * np.real(np.sum(a * a_neg * m_arr, axis=1))
-                + np.sum(np.abs(a) ** 2 * (1.0 + n_arr), axis=1)
-                + np.sum(np.abs(a_neg) ** 2 * n_arr, axis=1))
-        return vals.astype(complex)
-
+    # x[k, o, w]: channel k (the lines at +omega, then at -omega), observable o
+    lines = net.n_lines
+    x = np.empty((2 * lines, 2, len(grid)), dtype=complex)
+    for o, (row, obs) in enumerate(zip(rows, (net.readout, net.force))):
+        x[:lines, o] = (row + obs.mu @ net.feedthrough).T
+    np.conj(x[:lines, :, ::-1], out=x[lines:])
+    n, m = (np.array(col) for col in
+            zip(*(state.moments() for state in net.input_states)))
+    kernel = np.block([[np.diag(1.0 + n), np.diag(m)],
+                       [np.diag(np.conj(m)), np.diag(n)]])
+    xk = (kernel.T @ x.reshape(len(kernel), -1)).reshape(x.shape)
+    s = np.einsum("kaw,kbw->abw", xk, np.conj(x))
     return SpectraSet(
         grid=grid,
-        s_zz=ComplexSpectrum(grid, auto(z, z_neg)),
-        s_zf=ComplexSpectrum(grid, cross(z, z_neg, f, f_neg)),
-        s_ff=ComplexSpectrum(grid, auto(f, f_neg)),
+        s_zz=ComplexSpectrum(grid, s[0, 0].real),
+        s_zf=ComplexSpectrum(grid, s[0, 1]),
+        s_ff=ComplexSpectrum(grid, s[1, 1].real),
         symmetrized=False,
     )
 

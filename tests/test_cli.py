@@ -400,16 +400,22 @@ class TestMimoCheckCommand:
         assert outputs[0] == outputs[1]
 
     def test_wide_eigenvalue_spread_is_accepted(self, tmp_path):
-        # a valid block whose (trace/dim)**dim overflows float64 although its
-        # entries and determinant do not
-        row = np.diag([1e300, 1e-300, 1e300, 1e-300]).astype(complex)
-        cells = ["0.0"] + [repr(float(x)) for c in row.ravel() for x in (c.real, c.imag)]
+        # valid blocks whose (trace/dim)**dim overflows float64 although their
+        # entries and determinants do not
+        rows = []
+        for omega, a in ((0.0, 1e300), (1.0, 1e160)):
+            block = np.diag([a, 1 / a, a, 1 / a]).astype(complex)
+            rows.append(",".join([repr(omega)] + [repr(float(x)) for c in block.ravel()
+                                                  for x in (c.real, c.imag)]))
         src = tmp_path / "wide.csv"
-        src.write_text(",".join(cells) + "\n")
+        src.write_text("\n".join(rows) + "\n")
         out = tmp_path / "wide.json"
         argv = ["mimo-check", f"--mimo-input={src}", "--format=json", f"--out={out}"]
         assert main(argv) == 0
-        assert json.loads(out.read_text())["verdict"] == ["quantum_limited"]
+        written = json.loads(out.read_text())
+        assert written["verdict"] == ["quantum_limited"] * 2
+        # the ascending eigenvalue product of the 1e160 block is subnormal
+        assert written["det"][1] == 1.0
 
     def test_odd_block_dimension_exits_2(self, tmp_path, capsys):
         # 9 cells = 3x3 block: square but odd, so not quadrature pairs

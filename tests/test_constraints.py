@@ -125,6 +125,23 @@ class TestConstraintReport:
         assert report.worst_verdict is q.Verdict.above_limit
         assert not any(v is q.Verdict.violation for v in report.verdicts)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_pure_squeezed_input_is_quantum_limited(self, canonical_params,
+                                                    grid129, r):
+        # a pure squeezed line sits on the limit, whichever quadrature it
+        # squeezes; larger r cancels terms of size e^{2r} in the spectra
+        rng = np.random.default_rng(11)
+        cases = [(canonical_params, 0.0)] + [
+            (q.CavityParams(gamma=2.0, delta=float(rng.uniform(-3.0, 3.0)),
+                            gbar=1.0, theta=float(rng.uniform(-np.pi, np.pi))),
+             float(rng.uniform(-np.pi, np.pi)))
+            for _ in range(4)]
+        for params, phi in cases:
+            state = q.InputState.squeezed(r * np.exp(1j * phi))
+            report = q.constraint_report(*_engine_run(params, grid129, state))
+            assert all(v is q.Verdict.quantum_limited for v in report.verdicts), \
+                (params, phi)
+
     def test_doctored_spectra_flag_violation(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
@@ -220,6 +237,20 @@ class TestMimo:
     def test_diagonal_determinant_value(self):
         mat = np.array([[[2.0, 0.0], [0.0, 3.0]]], dtype=complex)
         assert q.mimo_quantum_limit(mat)[0] == pytest.approx(6.0, rel=1e-14)
+
+    def test_wide_eigenvalue_spread_keeps_its_determinant(self):
+        # ascending products of these eigenvalues pass through 1e-320 (a
+        # subnormal, 1e-5 off) and 1e-400 (underflow to 0); det = 1 for both
+        mat = np.stack([np.diag([a, 1 / a, a, 1 / a]).astype(complex)
+                        for a in (1e160, 1e200)])
+        dets = q.mimo_quantum_limit(mat)
+        assert dets[0] == 1.0
+        assert dets[1] == pytest.approx(1.0, rel=1e-15)
+
+    def test_overflowing_determinant_rejected(self):
+        mat = np.diag([1e300, 1e300, 1.0, 1.0]).astype(complex)[None]
+        with pytest.raises(ValueError, match="overflows float64"):
+            q.mimo_quantum_limit(mat)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(q.InvalidMatrixError):

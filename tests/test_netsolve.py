@@ -303,6 +303,44 @@ class TestInputStates:
         assert low < 0.5 < high
         assert low * high == pytest.approx(0.25, rel=1e-2)
 
+    @pytest.mark.parametrize("states", [
+        (q.InputState.thermal(1.5), q.InputState.squeezed(0.7 * np.exp(0.4j))),
+        (q.InputState.squeezed(1.1 * np.exp(-2.0j)), q.InputState.vacuum()),
+    ], ids=["thermal-squeezed", "squeezed-vacuum"])
+    def test_per_line_states_against_line_by_line_sum(self, states):
+        # each line adds its own moments; sum them one line and one
+        # frequency at a time from the resolvent, in operator order
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        lam = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        force = q.Observable(mode_quad=rng.normal(size=4), output_quad=np.zeros(4))
+        readout = q.Observable(mode_quad=np.zeros(4), output_quad=rng.normal(size=4))
+        net = q.passive_network(h, lam, force, readout, input_state=states)
+        grid = q.make_symmetric_grid(3.0, 3)
+        got = q.solve_unsym_spectra(net, grid)
+
+        def row(obs, w):
+            res = np.linalg.inv(-1j * w * np.eye(2) - net.drift)
+            return (net._effective_mode_row(obs) @ res @ net.input_coupling
+                    + obs.mu @ net.feedthrough)
+
+        for pair, spectrum in (((readout, readout), got.s_zz),
+                               ((readout, force), got.s_zf),
+                               ((force, force), got.s_ff)):
+            ref = np.zeros(len(grid), dtype=complex)
+            for k, w in enumerate(grid.points):
+                (a, a_neg), (b, b_neg) = ((row(obs, w), row(obs, -w)) for obs in pair)
+                for line, state in enumerate(states):
+                    n, m = state.moments()
+                    # A = a c + conj(a_neg) c^dag, B likewise; <c c^dag> = 1 + N,
+                    # <c^dag c> = N, <c c> = M, <c^dag c^dag> = M*
+                    ref[k] += (a[line] * np.conj(b[line]) * (1.0 + n)
+                               + a[line] * b_neg[line] * m
+                               + np.conj(a_neg[line]) * np.conj(b[line]) * np.conj(m)
+                               + np.conj(a_neg[line]) * b_neg[line] * n)
+            peak = np.max(np.abs(ref))
+            assert np.allclose(spectrum.values, ref, rtol=1e-12, atol=1e-12 * peak)
+
     @pytest.mark.parametrize("solve", [q.solve_unsym_spectra,
                                        q.solve_susceptibilities],
                              ids=lambda solve: solve.__name__)
