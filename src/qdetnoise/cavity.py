@@ -10,10 +10,12 @@ All expressions share the resonance denominator
 whose roots sit at omega = +/-delta - i gamma, below the real axis as causality
 requires. The engine in ``netsolve`` reproduces every function here from the
 equations of motion; the two routes cross-validate each other in the tests.
+Each closed form raises ValueError when a result overflows float64.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +89,35 @@ class NormalizedSpectra:
     force: ComplexSpectrum
 
 
+def _in_float64_range(closed_form):
+    """Raise ValueError, not OverflowError, for a result float64 cannot hold.
+
+    Python's ``x ** 2`` raises OverflowError, and a product of Python floats
+    overflows to inf silently; both mean the parameters are out of range.
+    """
+    @functools.wraps(closed_form)
+    def checked(params: CavityParams, grid: FrequencyGrid):
+        try:
+            result = closed_form(params, grid)
+            finite = all(np.isfinite(value.values).all()
+                         for value in vars(result).values()
+                         if isinstance(value, ComplexSpectrum))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{closed_form.__name__} overflows float64: the "
+                             "parameters are out of range")
+        return result
+    return checked
+
+
 def response_denominator(omega, gamma: float, delta: float) -> np.ndarray:
     """(omega - delta + i gamma) (omega + delta + i gamma), vectorized."""
     w = np.asarray(omega, dtype=complex)
     return (w - delta + 1j * gamma) * (w + delta + 1j * gamma)
 
 
+@_in_float64_range
 def cavity_susceptibilities(params: CavityParams,
                             grid: FrequencyGrid) -> SusceptibilitySet:
     """Closed-form response functions of the one-sided cavity probe."""
@@ -112,6 +137,7 @@ def cavity_susceptibilities(params: CavityParams,
     )
 
 
+@_in_float64_range
 def cavity_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSet:
     """Symmetrized vacuum-input noise spectra of the one-sided cavity probe."""
     g, d, gb, th = params.gamma, params.delta, params.gbar, params.theta
@@ -131,6 +157,7 @@ def cavity_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSet:
     )
 
 
+@_in_float64_range
 def cavity_unsym_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSet:
     """Unsymmetrized vacuum-input spectra, in closed form.
 

@@ -29,11 +29,20 @@ network, A = V diag(lambda) V^{-1}, so that
 
     R(omega) = V diag(1 / (-i omega - lambda)) V^{-1}
 
-and a transfer row on the whole grid is one (points x modes) matrix
-product. Near an exceptional point the eigenvectors lose about
-cond(V) * 1e-16 of relative accuracy, so the eigen path is taken only for
-cond(V) <= 1e6; otherwise, and for defective drifts, R is solved once per
-grid point in one batch. Input states are white: each line carries
+and a transfer row is a (points x modes) matrix product. Near an
+exceptional point the eigenvectors lose about cond(V) * 1e-16 of relative
+accuracy, so the eigen path is taken only for cond(V) <= 1e6; otherwise,
+and for defective drifts, R is solved at every grid point in batches. Both
+routes, and the spectra form, walk the grid in blocks of points, so their
+temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
+lambda) and for the spectra's stacked rows. The spectra block of points
+[a, b) reads its -omega rows from the mirrored rows [W - b, W - a),
+reversed. The same eigenvectors give the controllability Gramian of a
+non-passive network, M = V X V^dag with
+X_ij = -(V^{-1} B B^dag V^{-dag})_ij / (lambda_i + lambda_j*), kept only if
+its Lyapunov residual is within 1e-13 of its scale. scipy's Bartels-Stewart
+solver is the fallback when V is None or that guard trips, and the only
+use of scipy. Input states are white: each line carries
 frequency-independent moments (N, M).
 
 This module is the independent oracle for the closed forms in ``cavity`` and
@@ -53,9 +62,14 @@ from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
 from .errors import GridMismatchError, StabilityError
 
 _SQRT2 = np.sqrt(2.0)
-# Largest eigenvector condition number for which the resolvent is formed
-# from the drift's eigen-decomposition; its error grows as cond(V) * 1e-16.
+# Largest eigenvector condition number for which the resolvent and the
+# Gramian are formed from the drift's eigen-decomposition; the resolvent's
+# error grows as cond(V) * 1e-16.
 _MAX_MODE_COND = 1e6
+# Bytes of per-point complex temporaries the engine forms at a time: the
+# resolvent and the spectra form walk the grid in blocks of this size, so
+# their working memory does not grow with the grid.
+_BLOCK_BYTES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +188,17 @@ class LinearNetwork:
         Passive networks built from a Hamiltonian and decay channels satisfy
         A + A^dag = -B B^dag identically, so M is the identity; that case is
         detected exactly and short-circuited to keep the zero-response
-        identities of a valid detector exact in floating point.
+        identities of a valid detector exact in floating point. Otherwise,
+        when ``_modes`` kept V, M = V X V^dag with
+
+            X_ij = -(V^{-1} B B^dag V^{-dag})_ij / (lambda_i + lambda_j*),
+
+        refined once against its own residual. That M is kept only if its
+        final residual A M + M A^dag + B B^dag is within 1e-13 of
+        max|A| max|M| + max|B B^dag|. Otherwise, and whenever V is None
+        (cond(V) > _MAX_MODE_COND), scipy's Bartels-Stewart solver takes its
+        place, with the same refinement. Either M is symmetrised and checked
+        again for the identity.
         """
         a, b = self.drift, self.input_coupling
         bb = b @ b.conj().T
@@ -182,17 +206,37 @@ class LinearNetwork:
         scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(bb)))
         if np.max(np.abs(resid0)) <= 1e-13 * scale:
             return np.eye(self.n_modes, dtype=complex)
-        import scipy.linalg  # deferred: only non-passive networks need it
-        m = scipy.linalg.solve_continuous_lyapunov(a, -bb)
-        resid = a @ m + m @ a.conj().T + bb
-        m = m - scipy.linalg.solve_continuous_lyapunov(a, resid)
-        m = 0.5 * (m + m.conj().T)
+        lam, v = self._modes
+        m = None
+        if v is not None:
+            v_inv = np.linalg.inv(v)
+            rate = lam[:, None] + np.conj(lam)
+            m = _refined_lyapunov(
+                a, bb, lambda q: v @ ((v_inv @ q @ v_inv.conj().T) / rate) @ v.conj().T)
+            resid = a @ m + m @ a.conj().T + bb
+            m_scale = np.max(np.abs(a)) * np.max(np.abs(m)) + np.max(np.abs(bb))
+            if not np.max(np.abs(resid)) <= 1e-13 * m_scale:
+                m = None
+        if m is None:
+            import scipy.linalg  # deferred: only the fallback needs it
+            m = _refined_lyapunov(
+                a, bb, lambda q: scipy.linalg.solve_continuous_lyapunov(a, q))
         if np.max(np.abs(m - np.eye(self.n_modes))) <= 1e-12 * max(1.0, np.max(np.abs(m))):
             return np.eye(self.n_modes, dtype=complex)
         return m
 
     def _effective_mode_row(self, obs: Observable) -> np.ndarray:
         return obs.alpha + self.output_coupling.T @ obs.mu
+
+
+def _refined_lyapunov(a: np.ndarray, bb: np.ndarray, solve) -> np.ndarray:
+    """M of A M + M A^dag = -B B^dag, symmetrised, after one refinement step.
+
+    solve(Q) returns X with A X + X A^dag = Q.
+    """
+    m = solve(-bb)
+    m = m - solve(a @ m + m @ a.conj().T + bb)
+    return 0.5 * (m + m.conj().T)
 
 
 def passive_network(hamiltonian, coupling, force: Observable, readout: Observable,
@@ -242,25 +286,45 @@ def build_one_sided_cavity(params: CavityParams,
     )
 
 
+def _blocks(size: int, width: int) -> list[tuple[int, int]]:
+    """Ranges [a, b) that cover range(size), with (b - a) * width complex
+    values near _BLOCK_BYTES.
+
+    Each block but the last holds a multiple of 16 points. BLAS kernels
+    tile the point axis, and a block edge inside a tile would round that
+    tile's sums differently from one product over the whole grid.
+    """
+    step = max(16, _BLOCK_BYTES // (256 * width) * 16)
+    return [(a, min(a + step, size)) for a in range(0, size, step)]
+
+
 def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
                      grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_O + C^T mu_O)^T R(omega) rhs for the readout and the force.
 
-    With V well conditioned, R(omega) = V diag(g(omega)) V^{-1} and each
-    result is g @ (p_O[:, None] * V^{-1} rhs) with p_O = row_O V. Otherwise
-    R(omega) = (-i omega I - A)^{-1} is solved once per grid point in one
-    batch. Callers on a symmetric grid read -omega as the reversed array.
+    With V well conditioned, R(omega) = V diag(g(omega)) V^{-1}, and both
+    results come from g @ [p_z q | p_f q] with p_O = row_O V and
+    q = V^{-1} rhs. Otherwise R(omega) = (-i omega I - A)^{-1} is solved at
+    every grid point in batches. Either way the grid is walked in blocks of
+    points. Callers on a symmetric grid read -omega as the reversed array.
     """
     w = grid.points
-    rows = [net._effective_mode_row(obs) for obs in (net.readout, net.force)]
+    rows = np.array([net._effective_mode_row(obs) for obs in (net.readout, net.force)])
+    k = rhs.shape[1]
+    out = np.empty((w.size, 2 * k), dtype=complex)
     lam, v = net._modes
     if v is None:
-        lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
-        r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
-        return tuple(np.einsum("n,knm->km", row, r_rhs) for row in rows)
-    g = 1.0 / ((-1j * w)[:, None] - lam)
-    q = np.linalg.solve(v, rhs)
-    return tuple(g @ ((row @ v)[:, None] * q) for row in rows)
+        eye = np.eye(net.n_modes)
+        for a, b in _blocks(w.size, net.n_modes):
+            lhs = (-1j * w[a:b])[:, None, None] * eye - net.drift
+            r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (b - a,) + rhs.shape))
+            np.einsum("on,pnm->pom", rows, r_rhs, out=out[a:b].reshape(b - a, 2, k))
+    else:
+        q = np.linalg.solve(v, rhs)
+        pq = np.hstack([(row @ v)[:, None] * q for row in rows])
+        for a, b in _blocks(w.size, net.n_modes):
+            np.matmul(1.0 / ((-1j * w[a:b])[:, None] - lam), pq, out=out[a:b])
+    return out[:, :k], out[:, k:]
 
 
 def solve_susceptibilities(net: LinearNetwork,
@@ -314,23 +378,30 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     """
     grid.require_symmetric("unsymmetrized spectra")
     rows = _observable_rows(net, net.input_coupling, grid)
-    # x[k, o, w]: channel k (the lines at +omega, then at -omega), observable o
-    lines = net.n_lines
-    x = np.empty((2 * lines, 2, len(grid)), dtype=complex)
-    for o, (row, obs) in enumerate(zip(rows, (net.readout, net.force))):
-        x[:lines, o] = (row + obs.mu @ net.feedthrough).T
-    np.conj(x[:lines, :, ::-1], out=x[lines:])
+    feed = [obs.mu @ net.feedthrough for obs in (net.readout, net.force)]
     n, m = (np.array(col) for col in
             zip(*(state.moments() for state in net.input_states)))
-    kernel = np.block([[np.diag(1.0 + n), np.diag(m)],
-                       [np.diag(np.conj(m)), np.diag(n)]])
-    xk = (kernel.T @ x.reshape(len(kernel), -1)).reshape(x.shape)
-    s = np.einsum("kaw,kbw->abw", xk, np.conj(x))
+    kernel_t = np.block([[np.diag(1.0 + n), np.diag(m)],
+                         [np.diag(np.conj(m)), np.diag(n)]]).T
+    lines, size = net.n_lines, len(grid)
+    s_zz, s_ff = np.empty(size), np.empty(size)
+    s_zf = np.empty(size, dtype=complex)
+    # points [a, b) pair with their mirrors -omega, rows [size - b, size - a)
+    # reversed; x[k, o, w]: channel k (the lines at +omega, then at -omega),
+    # observable o
+    for a, b in _blocks(size, 4 * lines):
+        x = np.empty((2 * lines, 2, b - a), dtype=complex)
+        for o, (row, offset) in enumerate(zip(rows, feed)):
+            x[:lines, o] = (row[a:b] + offset).T
+            x[lines:, o] = np.conj(row[size - b:size - a][::-1] + offset).T
+        xk = (kernel_t @ x.reshape(2 * lines, -1)).reshape(x.shape)
+        s = np.einsum("kaw,kbw->abw", xk, np.conj(x))
+        s_zz[a:b], s_zf[a:b], s_ff[a:b] = s[0, 0].real, s[0, 1], s[1, 1].real
     return SpectraSet(
         grid=grid,
-        s_zz=ComplexSpectrum(grid, s[0, 0].real),
-        s_zf=ComplexSpectrum(grid, s[0, 1]),
-        s_ff=ComplexSpectrum(grid, s[1, 1].real),
+        s_zz=ComplexSpectrum(grid, s_zz),
+        s_zf=ComplexSpectrum(grid, s_zf),
+        s_ff=ComplexSpectrum(grid, s_ff),
         symmetrized=False,
     )
 

@@ -130,6 +130,21 @@ class TestSpectra:
         assert np.all(margin >= -1e-12 * np.max(sym.s_ff.values.real))
 
 
+class TestOutOfRange:
+    @pytest.mark.parametrize("closed_form,gbar", [
+        (q.cavity_susceptibilities, 1e200),
+        (q.cavity_spectra, 1e200),
+        (q.cavity_unsym_spectra, 1e200),
+        # gbar**2 is finite here, but the s_ff prefactor overflows to inf
+        (q.cavity_spectra, 1e154),
+    ], ids=["susceptibilities", "spectra", "unsym_spectra", "spectra-inf"])
+    def test_overflowing_result_raises_value_error(self, closed_form, gbar,
+                                                   grid129):
+        params = q.CavityParams(gamma=2.0, delta=0.5, gbar=gbar, theta=0.4)
+        with pytest.raises(ValueError, match="overflows float64"):
+            closed_form(params, grid129)
+
+
 class TestNormalize:
     def test_canonical_imprecision(self, canonical_params):
         grid = _single_point_grid(1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -77,6 +78,54 @@ def _deviation_from_batched_solve(net: q.LinearNetwork, grid: q.FrequencyGrid,
         ref = _engine_outputs(net, grid)
     return max(np.max(np.abs(got[name] - ref[name]))
                / max(np.max(np.abs(ref[name])), 1e-300) for name in got)
+
+
+def _scipy_gramian(net: q.LinearNetwork) -> np.ndarray:
+    """Reference Gramian: scipy's Bartels-Stewart solve, refined once."""
+    a, b = net.drift, net.input_coupling
+    bb = b @ b.conj().T
+    m = scipy.linalg.solve_continuous_lyapunov(a, -bb)
+    m = m - scipy.linalg.solve_continuous_lyapunov(a, a @ m + m @ a.conj().T + bb)
+    return 0.5 * (m + m.conj().T)
+
+
+def _gramian_and_path(net: q.LinearNetwork,
+                      monkeypatch: pytest.MonkeyPatch) -> tuple[np.ndarray, str]:
+    """The network's Gramian, and "scipy" if it called the fallback solver."""
+    calls = []
+    solve = scipy.linalg.solve_continuous_lyapunov
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "solve_continuous_lyapunov",
+                      lambda *args: calls.append(args) or solve(*args))
+        m = net._gramian
+    return m, ("scipy" if calls else "eigen")
+
+
+def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _symmetric_grid(size: int) -> q.FrequencyGrid:
+    """Symmetric grid of any size: with omega = 0 when odd, without when even."""
+    if size % 2:
+        return q.make_symmetric_grid(5.0, size // 2)
+    pos = np.linspace(0.05, 5.0, size // 2)
+    return q.FrequencyGrid(np.concatenate([-pos[::-1], pos]))
+
+
+def _passive_test_network(n_modes: int, rng: np.random.Generator,
+                          state: q.InputState) -> q.LinearNetwork:
+    shape = (n_modes, n_modes)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    shape = (2, n_modes)
+    coupling = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return q.passive_network(
+        hamiltonian=h, coupling=coupling,
+        force=q.Observable(mode_quad=rng.normal(size=2 * n_modes),
+                           output_quad=np.zeros(4)),
+        readout=q.Observable(mode_quad=np.zeros(2 * n_modes),
+                             output_quad=rng.normal(size=4)),
+        input_state=state)
 
 
 class TestObservable:
@@ -223,6 +272,105 @@ class TestResolventPaths:
             input_state=q.InputState.squeezed(0.4 + 0.2j))
         assert net._modes[1] is not None
         assert _deviation_from_batched_solve(net, grid129, monkeypatch) <= 1e-11
+
+
+class TestGramianPaths:
+    """Eigen-decomposition Gramian against scipy's Bartels-Stewart solve."""
+
+    @pytest.mark.parametrize("n_modes", [1, 4, 16])
+    def test_random_non_normal_networks(self, n_modes, monkeypatch):
+        rng = np.random.default_rng(20 + n_modes)
+        for _ in range(5):
+            net = _random_stable_network(rng, n_modes=n_modes)
+            assert net._modes[1] is not None
+            ref = _scipy_gramian(net)
+            assert not np.allclose(ref, np.eye(n_modes))
+            m, path = _gramian_and_path(net, monkeypatch)
+            assert path == "eigen"
+            assert _relative_error(m, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_near_exceptional_drifts(self, n_modes, monkeypatch):
+        paths = set()
+        for t in 10.0 ** -np.arange(2, 15):
+            net = _near_exceptional_network(n_modes, t, np.random.default_rng(5))
+            m, path = _gramian_and_path(net, monkeypatch)
+            # below the cond(V) threshold the eigen path passes its guard
+            assert path == ("scipy" if net._modes[1] is None else "eigen"), t
+            assert _relative_error(m, _scipy_gramian(net)) <= 1e-12, t
+            paths.add(path)
+        assert paths == {"eigen", "scipy"}
+
+    def test_residual_guard_sends_a_bad_eigenbasis_to_scipy(self, monkeypatch):
+        # with the cond(V) threshold raised, V of this drift (cond ~ 3e10) is
+        # kept, and the eigen Gramian's residual, about 6e-12 of its scale,
+        # must fail the guard
+        monkeypatch.setattr(netsolve, "_MAX_MODE_COND", 1e12)
+        net = _near_exceptional_network(4, 1e-14, np.random.default_rng(5))
+        assert 1e10 <= np.linalg.cond(net._modes[1]) <= 1e12
+        m, path = _gramian_and_path(net, monkeypatch)
+        assert path == "scipy"
+        assert _relative_error(m, _scipy_gramian(net)) <= 1e-12
+
+
+class TestBlocks:
+    """The engine walks the grid in blocks; no output may depend on them."""
+
+    @staticmethod
+    def _one_block(net, grid, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(netsolve, "_BLOCK_BYTES", 2**62)
+            return _engine_outputs(net, grid)
+
+    @pytest.mark.parametrize("case", ["1", "4", "16", "fallback"])
+    def test_grid_sizes_at_block_edges(self, case, monkeypatch):
+        rng = np.random.default_rng(31)
+        state = q.InputState.squeezed(0.6 * np.exp(0.8j))
+        if case == "fallback":
+            net = _near_exceptional_network(4, 0.0, rng)
+            assert net._modes[1] is None
+        else:
+            net = _passive_test_network(int(case), rng, state)
+        sizes = {3}
+        for width in (net.n_modes, 4 * net.n_lines):  # resolvent, spectra form
+            step = netsolve._blocks(10**5, width)[0][1]
+            sizes |= {step - 1, step, step + 1}
+        for size in sorted(sizes):
+            grid = _symmetric_grid(size)
+            got = _engine_outputs(net, grid)
+            ref = self._one_block(net, grid, monkeypatch)
+            for name in got:
+                assert (np.max(np.abs(got[name] - ref[name]))
+                        <= 1e-15 * np.max(np.abs(ref[name]))), (size, name)
+
+    def test_mirrored_blocks_pair_each_point_with_its_negative(self, monkeypatch):
+        # one squeezed line couples row(omega) to row(-omega); pairing a point
+        # with any other than its mirror would move S by O(1)
+        params = q.CavityParams(gamma=0.7, delta=0.4, gbar=1.0, theta=0.3)
+        net = q.build_one_sided_cavity(
+            params, input_state=q.InputState.squeezed(0.9 * np.exp(0.5j)))
+        step = netsolve._blocks(10**5, 4)[0][1]
+        grid = q.make_symmetric_grid(4.0, step + 5)  # 2 step + 11 points
+        assert len(netsolve._blocks(len(grid), 4)) == 3
+        got = q.solve_unsym_spectra(net, grid)
+        ref = self._one_block(net, grid, monkeypatch)
+        for name in ("s_zz", "s_zf", "s_ff"):
+            values = getattr(got, name).values
+            assert (np.max(np.abs(values - ref[name]))
+                    <= 1e-15 * np.max(np.abs(ref[name]))), name
+        # the pair moment enters S_ff(omega) and S_ff(-omega) alike only when
+        # each point meets its own mirror, and the Kubo residual needs that
+        chi_ff = q.solve_susceptibilities(net, grid).chi_ff
+        residual = q.kubo_check(got.s_ff, chi_ff).values
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(chi_ff.values.imag))
+
+    def test_blocks_cover_the_grid_once(self):
+        for size in (1, 15, 16, 17, 6241):
+            for width in (1, 4, 16, 256):
+                blocks = netsolve._blocks(size, width)
+                assert blocks[0][0] == 0 and blocks[-1][1] == size
+                assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+                assert all(b - a > 0 and (b - a) % 16 == 0 for a, b in blocks[:-1])
 
 
 class TestEngineAgainstClosedForms:

@@ -23,18 +23,51 @@ for argv in (["spectra"], ["spectra", "--input=thermal:0.5"], ["check"],
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
-_NON_PASSIVE_SOLVE = """
+_NON_PASSIVE_SOLVES = """
 import sys
+import numpy as np
 import qdetnoise as q
 # A + A^dag + B B^dag = -1, so the Gramian is not the identity
-net = q.LinearNetwork(
+nets = [q.LinearNetwork(
     drift=[[-1.0]], input_coupling=[[1.0]], output_coupling=[[1.0]],
     feedthrough=[[1.0]],
     force=q.Observable(mode_quad=[1.0, 0.0], output_quad=[0.0, 0.0]),
-    readout=q.Observable(mode_quad=[0.0, 0.0], output_quad=[1.0, 0.0]))
+    readout=q.Observable(mode_quad=[0.0, 0.0], output_quad=[1.0, 0.0]))]
+rng = np.random.default_rng(4)
+for n in (4, 16):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) - 4.0 * n * np.eye(n)
+    nets.append(q.LinearNetwork(
+        drift=a, input_coupling=rng.normal(size=(n, 2)),
+        output_coupling=rng.normal(size=(2, n)), feedthrough=np.eye(2),
+        force=q.Observable(mode_quad=rng.normal(size=2 * n), output_quad=np.zeros(4)),
+        readout=q.Observable(mode_quad=np.zeros(2 * n), output_quad=[1.0, 0, 0, 0]),
+        input_states=q.InputState.thermal(0.5)))
+grid = q.make_symmetric_grid(1.0, 4)
+for net in nets:
+    assert not np.allclose(net._gramian, np.eye(net.n_modes))
+    q.solve_susceptibilities(net, grid)
+    q.solve_unsym_spectra(net, grid)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+_DEFECTIVE_SOLVE = """
+import sys
+import numpy as np
+import qdetnoise as q
+# a Jordan block has no eigenbasis, so its Gramian needs the scipy fallback
+net = q.LinearNetwork(
+    drift=[[-1.0, 1.0], [0.0, -1.0]], input_coupling=[[1.0], [0.5]],
+    output_coupling=[[1.0, 0.0]], feedthrough=[[1.0]],
+    force=q.Observable(mode_quad=[1.0, 0.0, 0.0, 0.0], output_quad=[0.0, 0.0]),
+    readout=q.Observable(mode_quad=[0.0, 0.0, 0.0, 0.0], output_quad=[1.0, 0.0]))
+assert net._modes[1] is None
 assert "scipy.linalg" not in sys.modules
 q.solve_susceptibilities(net, q.make_symmetric_grid(1.0, 4))
-print("scipy.linalg" in sys.modules)
+a, m = net.drift, net._gramian
+bb = net.input_coupling @ net.input_coupling.conj().T
+resid = np.max(np.abs(a @ m + m @ a.conj().T + bb))
+scale = np.max(np.abs(a)) * np.max(np.abs(m)) + np.max(np.abs(bb))
+print("scipy.linalg" in sys.modules, bool(resid <= 1e-12 * scale))
 """
 
 
@@ -47,11 +80,12 @@ def _run_fresh(code, cwd):
     return proc.stdout.strip()
 
 
-def test_scipy_is_imported_only_for_the_lyapunov_gramian(tmp_path):
+def test_scipy_is_imported_only_for_the_lyapunov_fallback(tmp_path):
     # one Hermitian, positive semidefinite 2x2 block as re,im cell pairs
     (tmp_path / "blocks.csv").write_text("0.0,1.0,0.0,0.5,0.0,0.5,0.0,1.0,0.0\n")
     assert _run_fresh(_CLI_RUNS, tmp_path) == "[]"
-    assert _run_fresh(_NON_PASSIVE_SOLVE, tmp_path) == "True"
+    assert _run_fresh(_NON_PASSIVE_SOLVES, tmp_path) == "[]"
+    assert _run_fresh(_DEFECTIVE_SOLVE, tmp_path) == "True True"
 
 
 def test_public_names_are_pinned():
