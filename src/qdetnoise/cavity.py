@@ -89,23 +89,27 @@ class NormalizedSpectra:
     force: ComplexSpectrum
 
 
-def _in_float64_range(closed_form):
+def _in_float64_range(compute):
     """Raise ValueError, not OverflowError, for a result float64 cannot hold.
 
-    Python's ``x ** 2`` raises OverflowError, and a product of Python floats
-    overflows to inf silently; both mean the parameters are out of range.
+    compute(model, grid) is a closed form or an engine solver. It runs with
+    numpy's overflow and invalid-value warnings off, so that an out-of-range
+    call ends in this one ValueError. Python's ``x ** 2`` raises
+    OverflowError, and a product of Python floats overflows to inf silently;
+    both mean the parameters are out of range.
     """
-    @functools.wraps(closed_form)
-    def checked(params: CavityParams, grid: FrequencyGrid):
+    @functools.wraps(compute)
+    def checked(model, grid: FrequencyGrid):
         try:
-            result = closed_form(params, grid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = compute(model, grid)
             finite = all(np.isfinite(value.values).all()
                          for value in vars(result).values()
                          if isinstance(value, ComplexSpectrum))
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"{closed_form.__name__} overflows float64: the "
+            raise ValueError(f"{compute.__name__} overflows float64: the "
                              "parameters are out of range")
         return result
     return checked

@@ -37,12 +37,10 @@ routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
 lambda) and for the spectra's stacked rows. The spectra block of points
 [a, b) reads its -omega rows from the mirrored rows [W - b, W - a),
-reversed. The same eigenvectors give the controllability Gramian of a
-non-passive network, M = V X V^dag with
-X_ij = -(V^{-1} B B^dag V^{-dag})_ij / (lambda_i + lambda_j*), kept only if
-its Lyapunov residual is within 1e-13 of its scale. scipy's Bartels-Stewart
-solver is the fallback when V is None or that guard trips, and the only
-use of scipy. Input states are white: each line carries
+reversed. The controllability Gramian of a non-passive network is one
+dense solve of the vectorised Lyapunov equation, n^2 unknowns at
+O(n^6) time, and does not use the eigenvectors, so cond(V) governs only
+the resolvent. Input states are white: each line carries
 frequency-independent moments (N, M).
 
 This module is the independent oracle for the closed forms in ``cavity`` and
@@ -56,15 +54,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .cavity import SpectraSet, SusceptibilitySet
+from .cavity import SpectraSet, SusceptibilitySet, _in_float64_range
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
                    UnitConvention)
 from .errors import GridMismatchError, StabilityError
 
 _SQRT2 = np.sqrt(2.0)
-# Largest eigenvector condition number for which the resolvent and the
-# Gramian are formed from the drift's eigen-decomposition; the resolvent's
-# error grows as cond(V) * 1e-16.
+# Largest eigenvector condition number for which the resolvent is formed
+# from the drift's eigen-decomposition; its error grows as cond(V) * 1e-16.
 _MAX_MODE_COND = 1e6
 # Bytes of per-point complex temporaries the engine forms at a time: the
 # resolvent and the spectra form walk the grid in blocks of this size, so
@@ -89,6 +86,8 @@ class Observable:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size % 2:
                 raise ValueError(f"{name} must be a flat array of (X, Y) pairs")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -105,10 +104,12 @@ class Observable:
         return (q[0::2] - 1j * q[1::2]) / _SQRT2
 
 
-def _frozen_complex(x, shape_hint: str) -> np.ndarray:
+def _frozen_complex(x, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.array(x, dtype=complex))
     if arr.ndim != 2:
-        raise ValueError(f"{shape_hint} must be a matrix")
+        raise ValueError(f"{name} must be a matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -188,55 +189,41 @@ class LinearNetwork:
         Passive networks built from a Hamiltonian and decay channels satisfy
         A + A^dag = -B B^dag identically, so M is the identity; that case is
         detected exactly and short-circuited to keep the zero-response
-        identities of a valid detector exact in floating point. Otherwise,
-        when ``_modes`` kept V, M = V X V^dag with
+        identities of a valid detector exact in floating point. Otherwise M
+        is one dense solve of the vectorised equation, with column-major vec,
 
-            X_ij = -(V^{-1} B B^dag V^{-dag})_ij / (lambda_i + lambda_j*),
+            (I kron A + conj(A) kron I) vec(M) = -vec(B B^dag),
 
-        refined once against its own residual. That M is kept only if its
-        final residual A M + M A^dag + B B^dag is within 1e-13 of
-        max|A| max|M| + max|B B^dag|. Otherwise, and whenever V is None
-        (cond(V) > _MAX_MODE_COND), scipy's Bartels-Stewart solver takes its
-        place, with the same refinement. Either M is symmetrised and checked
-        again for the identity.
+        refined once against its own residual: n^2 unknowns, an n^2 x n^2
+        complex matrix (1 MB at 16 modes, 17 MB at 32) and O(n^6) time,
+        paid once per network. M is symmetrised and checked again for the
+        identity. Raises ValueError when B B^dag or the residual's scale
+        overflows float64.
         """
-        a, b = self.drift, self.input_coupling
-        bb = b @ b.conj().T
-        resid0 = a + a.conj().T + bb
-        scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(bb)))
+        a, b, n = self.drift, self.input_coupling, self.n_modes
+        with np.errstate(over="ignore", invalid="ignore"):
+            bb = b @ b.conj().T
+            resid0 = a + a.conj().T + bb
+            scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(bb)))
+        if not (np.isfinite(resid0).all() and np.isfinite(scale)):
+            raise ValueError("the Gramian overflows float64: the network's "
+                             "couplings are out of range")
         if np.max(np.abs(resid0)) <= 1e-13 * scale:
-            return np.eye(self.n_modes, dtype=complex)
-        lam, v = self._modes
-        m = None
-        if v is not None:
-            v_inv = np.linalg.inv(v)
-            rate = lam[:, None] + np.conj(lam)
-            m = _refined_lyapunov(
-                a, bb, lambda q: v @ ((v_inv @ q @ v_inv.conj().T) / rate) @ v.conj().T)
+            return np.eye(n, dtype=complex)
+        lhs = np.kron(np.eye(n), a)
+        lhs += np.kron(a.conj(), np.eye(n))
+        m = np.zeros((n, n), dtype=complex)
+        for _ in range(2):  # the solve, then one refinement step
             resid = a @ m + m @ a.conj().T + bb
-            m_scale = np.max(np.abs(a)) * np.max(np.abs(m)) + np.max(np.abs(bb))
-            if not np.max(np.abs(resid)) <= 1e-13 * m_scale:
-                m = None
-        if m is None:
-            import scipy.linalg  # deferred: only the fallback needs it
-            m = _refined_lyapunov(
-                a, bb, lambda q: scipy.linalg.solve_continuous_lyapunov(a, q))
-        if np.max(np.abs(m - np.eye(self.n_modes))) <= 1e-12 * max(1.0, np.max(np.abs(m))):
-            return np.eye(self.n_modes, dtype=complex)
+            vec_dm = np.linalg.solve(lhs, resid.ravel(order="F"))
+            m = m - vec_dm.reshape(n, n, order="F")
+        m = 0.5 * (m + m.conj().T)
+        if np.max(np.abs(m - np.eye(n))) <= 1e-12 * max(1.0, np.max(np.abs(m))):
+            return np.eye(n, dtype=complex)
         return m
 
     def _effective_mode_row(self, obs: Observable) -> np.ndarray:
         return obs.alpha + self.output_coupling.T @ obs.mu
-
-
-def _refined_lyapunov(a: np.ndarray, bb: np.ndarray, solve) -> np.ndarray:
-    """M of A M + M A^dag = -B B^dag, symmetrised, after one refinement step.
-
-    solve(Q) returns X with A X + X A^dag = Q.
-    """
-    m = solve(-bb)
-    m = m - solve(a @ m + m @ a.conj().T + bb)
-    return 0.5 * (m + m.conj().T)
 
 
 def passive_network(hamiltonian, coupling, force: Observable, readout: Observable,
@@ -327,6 +314,7 @@ def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
     return out[:, :k], out[:, k:]
 
 
+@_in_float64_range
 def solve_susceptibilities(net: LinearNetwork,
                            grid: FrequencyGrid) -> SusceptibilitySet:
     """Response functions of the network's readout/force pair.
@@ -343,6 +331,7 @@ def solve_susceptibilities(net: LinearNetwork,
     which splits the commutator kernel into its lower-half-plane (causal)
     poles plus the instantaneous feedthrough part, taken with weight 1/2.
     Requires a symmetric grid, which supplies s_AB(-omega) by reversal.
+    Raises ValueError when a result overflows float64.
     """
     grid.require_symmetric("susceptibilities")
     hbar = net.units.hbar
@@ -368,13 +357,15 @@ def solve_susceptibilities(net: LinearNetwork,
     )
 
 
+@_in_float64_range
 def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     """Unsymmetrized spectra of the readout/force pair for the stored input state.
 
     Lines are uncorrelated, each weighted by the kernel K_l of its own
     InputState's moments (see the module docstring); S_zz, S_zf and S_ff are
     entries of one (z, f) product, whose S_fz entry is unused. Requires a
-    symmetric grid, which supplies row_O(-omega) by reversal.
+    symmetric grid, which supplies row_O(-omega) by reversal. Raises
+    ValueError when a result overflows float64.
     """
     grid.require_symmetric("unsymmetrized spectra")
     rows = _observable_rows(net, net.input_coupling, grid)

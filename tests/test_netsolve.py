@@ -1,5 +1,9 @@
 """State-space engine: network construction, solving, spectra, symmetrizing."""
 
+import dataclasses
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,16 +93,21 @@ def _scipy_gramian(net: q.LinearNetwork) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _gramian_and_path(net: q.LinearNetwork,
-                      monkeypatch: pytest.MonkeyPatch) -> tuple[np.ndarray, str]:
-    """The network's Gramian, and "scipy" if it called the fallback solver."""
-    calls = []
-    solve = scipy.linalg.solve_continuous_lyapunov
-    with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "solve_continuous_lyapunov",
-                      lambda *args: calls.append(args) or solve(*args))
-        m = net._gramian
-    return m, ("scipy" if calls else "eigen")
+def _exact_gramian(net: q.LinearNetwork) -> np.ndarray:
+    """Reference Gramian: the vectorised Lyapunov equation, column-major vec,
+    solved with 40 significant digits."""
+    n = net.n_modes
+    with mpmath.workdps(40):
+        a = mpmath.matrix(net.drift.tolist())
+        b = mpmath.matrix(net.input_coupling.tolist())
+        bb = b * b.H
+        lhs = mpmath.zeros(n * n)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            lhs[i + j * n, k + j * n] += a[i, k]  # (A M)_ij
+            lhs[i + j * n, i + k * n] += mpmath.conj(a[j, k])  # (M A^dag)_ij
+        vec_m = mpmath.lu_solve(lhs, [-bb[i, j] for j in range(n) for i in range(n)])
+        return np.array([[complex(vec_m[i + j * n]) for j in range(n)]
+                         for i in range(n)])
 
 
 def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -193,6 +202,24 @@ class TestNetworkConstruction:
                 assert np.all(susc.chi_zz.values == 0.0), (n_modes, n_lines)
                 assert np.all(susc.chi_fz.values == 0.0), (n_modes, n_lines)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["drift", "input_coupling",
+                                       "output_coupling", "feedthrough"])
+    def test_non_finite_matrix_rejected(self, field, bad):
+        net = _random_stable_network(np.random.default_rng(2))
+        matrix = np.array(getattr(net, field))
+        matrix[0, -1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(net, **{field: matrix})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mode_quad", "output_quad"])
+    def test_non_finite_quadratures_rejected(self, field, bad):
+        quads = {"mode_quad": np.zeros(2), "output_quad": np.zeros(2)}
+        quads[field][1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            q.Observable(**quads)
+
     def test_unstable_drift_rejected(self):
         with pytest.raises(q.StabilityError):
             q.LinearNetwork(
@@ -275,42 +302,44 @@ class TestResolventPaths:
 
 
 class TestGramianPaths:
-    """Eigen-decomposition Gramian against scipy's Bartels-Stewart solve."""
+    """Dense Lyapunov solve against a 40-digit solve and Bartels-Stewart."""
 
     @pytest.mark.parametrize("n_modes", [1, 4, 16])
-    def test_random_non_normal_networks(self, n_modes, monkeypatch):
+    def test_random_non_normal_networks(self, n_modes):
         rng = np.random.default_rng(20 + n_modes)
+        reference = _exact_gramian if n_modes <= 4 else _scipy_gramian
         for _ in range(5):
             net = _random_stable_network(rng, n_modes=n_modes)
-            assert net._modes[1] is not None
-            ref = _scipy_gramian(net)
+            ref = reference(net)
             assert not np.allclose(ref, np.eye(n_modes))
-            m, path = _gramian_and_path(net, monkeypatch)
-            assert path == "eigen"
-            assert _relative_error(m, ref) <= 1e-12
+            assert _relative_error(net._gramian, ref) <= 1e-12
 
     @pytest.mark.parametrize("n_modes", [2, 4])
-    def test_near_exceptional_drifts(self, n_modes, monkeypatch):
-        paths = set()
-        for t in 10.0 ** -np.arange(2, 15):
+    def test_near_exceptional_drifts(self, n_modes):
+        # cond(V) runs from 10 to 3e10 over t > 0; t = 0 is a Jordan block
+        for t in [*10.0 ** -np.arange(2, 15), 0.0]:
             net = _near_exceptional_network(n_modes, t, np.random.default_rng(5))
-            m, path = _gramian_and_path(net, monkeypatch)
-            # below the cond(V) threshold the eigen path passes its guard
-            assert path == ("scipy" if net._modes[1] is None else "eigen"), t
-            assert _relative_error(m, _scipy_gramian(net)) <= 1e-12, t
-            paths.add(path)
-        assert paths == {"eigen", "scipy"}
+            assert _relative_error(net._gramian, _exact_gramian(net)) <= 1e-12, t
 
-    def test_residual_guard_sends_a_bad_eigenbasis_to_scipy(self, monkeypatch):
-        # with the cond(V) threshold raised, V of this drift (cond ~ 3e10) is
-        # kept, and the eigen Gramian's residual, about 6e-12 of its scale,
-        # must fail the guard
-        monkeypatch.setattr(netsolve, "_MAX_MODE_COND", 1e12)
-        net = _near_exceptional_network(4, 1e-14, np.random.default_rng(5))
-        assert 1e10 <= np.linalg.cond(net._modes[1]) <= 1e12
-        m, path = _gramian_and_path(net, monkeypatch)
-        assert path == "scipy"
-        assert _relative_error(m, _scipy_gramian(net)) <= 1e-12
+    @pytest.mark.parametrize("n_modes", [1, 4, 16])
+    def test_mode_condition_threshold_leaves_the_gramian(self, n_modes, monkeypatch):
+        m = _random_stable_network(np.random.default_rng(n_modes), n_modes)._gramian
+        monkeypatch.setattr(netsolve, "_MAX_MODE_COND", 0.0)
+        net = _random_stable_network(np.random.default_rng(n_modes), n_modes)
+        assert net._modes[1] is None
+        assert np.array_equal(net._gramian, m)
+
+    def test_overflowing_couplings_raise(self, grid129):
+        # B B^dag = 1e400: an overflowed scale must not pass the identity test
+        net = q.LinearNetwork(
+            drift=[[-1.0]], input_coupling=[[1e200]], output_coupling=[[1.0]],
+            feedthrough=[[1.0]],
+            force=q.Observable(mode_quad=[1.0, 0.0], output_quad=[0.0, 0.0]),
+            readout=q.Observable(mode_quad=[0.0, 0.0], output_quad=[1.0, 0.0]))
+        with pytest.raises(ValueError, match="overflows float64"):
+            net._gramian
+        with pytest.raises(ValueError, match="overflows float64"):
+            q.solve_susceptibilities(net, grid129)
 
 
 class TestBlocks:
@@ -371,6 +400,26 @@ class TestBlocks:
                 assert blocks[0][0] == 0 and blocks[-1][1] == size
                 assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
                 assert all(b - a > 0 and (b - a) % 16 == 0 for a, b in blocks[:-1])
+
+
+class TestOutOfRange:
+    """A result float64 cannot hold raises the closed forms' ValueError,
+    with no RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("solve", [q.solve_susceptibilities,
+                                       q.solve_unsym_spectra])
+    def test_one_sided_cavity(self, solve, grid129):
+        params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1e200, theta=0.4)
+        net = q.build_one_sided_cavity(params, q.InputState.thermal(1.0))
+        with pytest.raises(ValueError, match=f"{solve.__name__} overflows float64"):
+            solve(net, grid129)
+
+    def test_generic_network_spectra(self, grid129):
+        # readout rows of about 1e200, so S_zz is about 1e400
+        net = _random_stable_network(np.random.default_rng(7), n_modes=4)
+        net = dataclasses.replace(net, output_coupling=1e200 * net.output_coupling)
+        with pytest.raises(ValueError, match="solve_unsym_spectra overflows float64"):
+            q.solve_unsym_spectra(net, grid129)
 
 
 class TestEngineAgainstClosedForms:

@@ -13,18 +13,27 @@ import qdetnoise as q
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
-_CLI_RUNS = """
+# prepended to each fresh-process script: any import of scipy fails
+_NO_SCIPY = """
 import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+_CLI_RUNS = """
 from qdetnoise.cli import main
 mech = ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3", "--n-occ=2"]
 for argv in (["spectra"], ["spectra", "--input=thermal:0.5"], ["check"],
              ["qubit"], mech, ["mimo-check", "--mimo-input=blocks.csv"]):
     assert main([*argv, "--n-half=8", "--out=" + argv[0] + ".csv"]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 _NON_PASSIVE_SOLVES = """
-import sys
 import numpy as np
 import qdetnoise as q
 # A + A^dag + B B^dag = -1, so the Gramian is not the identity
@@ -47,27 +56,24 @@ for net in nets:
     assert not np.allclose(net._gramian, np.eye(net.n_modes))
     q.solve_susceptibilities(net, grid)
     q.solve_unsym_spectra(net, grid)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 _DEFECTIVE_SOLVE = """
-import sys
 import numpy as np
 import qdetnoise as q
-# a Jordan block has no eigenbasis, so its Gramian needs the scipy fallback
+# a Jordan block: no eigenbasis, for the resolvent or the Gramian
 net = q.LinearNetwork(
     drift=[[-1.0, 1.0], [0.0, -1.0]], input_coupling=[[1.0], [0.5]],
     output_coupling=[[1.0, 0.0]], feedthrough=[[1.0]],
     force=q.Observable(mode_quad=[1.0, 0.0, 0.0, 0.0], output_quad=[0.0, 0.0]),
     readout=q.Observable(mode_quad=[0.0, 0.0, 0.0, 0.0], output_quad=[1.0, 0.0]))
 assert net._modes[1] is None
-assert "scipy.linalg" not in sys.modules
 q.solve_susceptibilities(net, q.make_symmetric_grid(1.0, 4))
 a, m = net.drift, net._gramian
 bb = net.input_coupling @ net.input_coupling.conj().T
 resid = np.max(np.abs(a @ m + m @ a.conj().T + bb))
 scale = np.max(np.abs(a)) * np.max(np.abs(m)) + np.max(np.abs(bb))
-print("scipy.linalg" in sys.modules, bool(resid <= 1e-12 * scale))
+assert resid <= 1e-12 * scale, resid / scale
 """
 
 
@@ -77,15 +83,15 @@ def _run_fresh(code, cwd):
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
 
 
-def test_scipy_is_imported_only_for_the_lyapunov_fallback(tmp_path):
+def test_runtime_needs_no_scipy(tmp_path):
     # one Hermitian, positive semidefinite 2x2 block as re,im cell pairs
     (tmp_path / "blocks.csv").write_text("0.0,1.0,0.0,0.5,0.0,0.5,0.0,1.0,0.0\n")
-    assert _run_fresh(_CLI_RUNS, tmp_path) == "[]"
-    assert _run_fresh(_NON_PASSIVE_SOLVES, tmp_path) == "[]"
-    assert _run_fresh(_DEFECTIVE_SOLVE, tmp_path) == "True True"
+    for code in (_CLI_RUNS, _NON_PASSIVE_SOLVES, _DEFECTIVE_SOLVE):
+        _run_fresh(_NO_SCIPY + code, tmp_path)
+    with pytest.raises(AssertionError, match="scipy is blocked"):
+        _run_fresh(_NO_SCIPY + "import scipy.linalg", tmp_path)
 
 
 def test_public_names_are_pinned():
