@@ -103,7 +103,8 @@ def _in_float64_range(compute):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 result = compute(model, grid)
-            finite = all(np.isfinite(value.values).all()
+            # ComplexSpectrum values are contiguous complex128: the float view is exact
+            finite = all(np.isfinite(value.values.view(float)).all()
                          for value in vars(result).values()
                          if isinstance(value, ComplexSpectrum))
         except OverflowError:

@@ -184,55 +184,52 @@ class MechOscillator:
 class InputState:
     """Stationary Gaussian state of one input line, white over frequency.
 
-    Fully determined by the mean occupation N >= 0 and the pair moment M
-    correlating the +omega and -omega field components, both scalars, as for
-    the thermal and squeezed inputs of Clerk et al., RMP 82, 1155 (2010).
-    Physical states obey |M|^2 <= N (N + 1), with equality for pure squeezed
-    states.
+    Every single-mode Gaussian state is a thermal state of occupation n_th
+    squeezed by r e^{i phi} (Weedbrook et al., RMP 84, 621 (2012)), so the
+    record is physical by construction. The mean occupation N and the pair
+    moment M of the +omega and -omega field components (Clerk et al., RMP 82,
+    1155 (2010)) are derived: N = n_th + (2 n_th + 1) sinh^2 r and
+    M = (2 n_th + 1) e^{i phi} sinh r cosh r, so (N + 1/2)^2 - |M|^2 =
+    (n_th + 1/2)^2, and |M|^2 = N (N + 1) for pure states (n_th = 0).
     """
 
-    kind: str
-    mean_occupation: float = 0.0
-    pair_moment: complex = 0.0
+    n_th: float = 0.0
+    r: float = 0.0
+    phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.ndim(self.mean_occupation) or np.ndim(self.pair_moment):
-            raise ValueError("mean occupation and pair moment must be scalars")
-        n, m = float(np.real(self.mean_occupation)), complex(self.pair_moment)
-        if not (np.isfinite(n) and np.isfinite(m)):
-            raise ValueError("mean occupation and pair moment must be finite")
-        if n < 0:
-            raise ValueError("mean occupation must be non-negative")
-        # both sides may overflow to inf for N above ~1e154; inf > inf is False
-        with np.errstate(over="ignore"):
-            too_large = np.abs(m) ** 2 > n * (n + 1.0) * (1 + 1e-9) + 1e-30
-        if too_large:
-            raise ValueError(
-                "pair moment too large: |M|^2 <= N (N + 1) is required")
-        object.__setattr__(self, "mean_occupation", n)
-        object.__setattr__(self, "pair_moment", m)
+        if np.ndim(self.n_th) or np.ndim(self.r) or np.ndim(self.phi):
+            raise ValueError("n_th, r and phi must be scalars")
+        for field in dataclasses.fields(self):
+            object.__setattr__(self, field.name, float(getattr(self, field.name)))
+        _require_finite(self)
+        if not (self.n_th >= 0 and self.r >= 0):
+            raise ValueError("n_th and the squeeze magnitude r must be non-negative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.moments()).all()
+        if not finite:
+            raise ValueError(f"squeeze magnitude {self.r} gives no state: "
+                             "its moments overflow float64")
+
+    @property
+    def kind(self) -> str:
+        return "squeezed" if self.r > 0 else "thermal" if self.n_th > 0 else "vacuum"
 
     @classmethod
     def vacuum(cls) -> "InputState":
-        return cls("vacuum")
+        return cls()
 
     @classmethod
     def thermal(cls, n_th: float) -> "InputState":
-        return cls("thermal", n_th)
+        return cls(n_th)
 
     @classmethod
     def squeezed(cls, xi: complex) -> "InputState":
         """Pure squeezed state with complex squeeze parameter xi = r e^{i phi}."""
-        r, phi = np.abs(xi), np.angle(xi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            n = np.sinh(r) ** 2
-            m = np.exp(1j * phi) * np.sinh(r) * np.cosh(r)
-        try:
-            return cls("squeezed", n, m)
-        except ValueError as exc:
-            raise ValueError(f"squeeze magnitude {r} gives no state: {exc}"
-                             ) from None
+        return cls(0.0, np.abs(xi), np.angle(xi))
 
     def moments(self) -> tuple[float, complex]:
-        """(N, M), as checked at construction."""
-        return self.mean_occupation, self.pair_moment
+        """(N, M) of the state."""
+        w = 2.0 * self.n_th + 1.0
+        return (self.n_th + w * np.sinh(self.r) ** 2,
+                w * np.exp(1j * self.phi) * np.sinh(self.r) * np.cosh(self.r))

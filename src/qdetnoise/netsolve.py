@@ -35,13 +35,13 @@ accuracy, so the eigen path is taken only for cond(V) <= 1e6; otherwise,
 and for defective drifts, R is solved at every grid point in batches. Both
 routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
-lambda) and for the spectra's stacked rows. The spectra block of points
-[a, b) reads its -omega rows from the mirrored rows [W - b, W - a),
-reversed. The controllability Gramian of a non-passive network is one
+lambda), for the batched solve's n x n systems and for the spectra's
+stacked rows. The spectra block of points [a, b) reads its -omega rows
+from the mirrored rows [W - b, W - a), reversed. The controllability Gramian of a non-passive network is one
 dense solve of the vectorised Lyapunov equation, n^2 unknowns at
 O(n^6) time, and does not use the eigenvectors, so cond(V) governs only
 the resolvent. Input states are white: each line carries
-frequency-independent moments (N, M).
+frequency-independent moments (N, M), derived from its InputState.
 
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
@@ -275,7 +275,7 @@ def build_one_sided_cavity(params: CavityParams,
 
 def _blocks(size: int, width: int) -> list[tuple[int, int]]:
     """Ranges [a, b) that cover range(size), with (b - a) * width complex
-    values near _BLOCK_BYTES.
+    values near _BLOCK_BYTES; width is what one point holds.
 
     Each block but the last holds a multiple of 16 points. BLAS kernels
     tile the point axis, and a block edge inside a tile would round that
@@ -292,8 +292,9 @@ def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
     With V well conditioned, R(omega) = V diag(g(omega)) V^{-1}, and both
     results come from g @ [p_z q | p_f q] with p_O = row_O V and
     q = V^{-1} rhs. Otherwise R(omega) = (-i omega I - A)^{-1} is solved at
-    every grid point in batches. Either way the grid is walked in blocks of
-    points. Callers on a symmetric grid read -omega as the reversed array.
+    every grid point in batches. Either way the grid is walked in blocks
+    sized by what a point holds: n values of g, or the batched solve's n x n
+    system. Callers on a symmetric grid read -omega as the reversed array.
     """
     w = grid.points
     rows = np.array([net._effective_mode_row(obs) for obs in (net.readout, net.force)])
@@ -302,7 +303,7 @@ def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
     lam, v = net._modes
     if v is None:
         eye = np.eye(net.n_modes)
-        for a, b in _blocks(w.size, net.n_modes):
+        for a, b in _blocks(w.size, net.n_modes ** 2):
             lhs = (-1j * w[a:b])[:, None, None] * eye - net.drift
             r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (b - a,) + rhs.shape))
             np.einsum("on,pnm->pom", rows, r_rhs, out=out[a:b].reshape(b - a, 2, k))

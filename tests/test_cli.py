@@ -107,12 +107,13 @@ class TestParseInputState:
     def test_thermal(self):
         state = parse_input_state("thermal:1.5")
         assert state.kind == "thermal"
-        assert state.mean_occupation == 1.5
+        assert state.moments() == (1.5, 0.0)
 
     def test_squeezed_polar_form(self):
         state = parse_input_state("squeezed:0.5,1.2")
+        assert state.kind == "squeezed"
         expect = q.InputState.squeezed(0.5 * np.exp(1.2j))
-        assert state.pair_moment == pytest.approx(expect.pair_moment)
+        assert state.moments() == pytest.approx(expect.moments())
 
     @pytest.mark.parametrize("bad", [
         "coherent", "thermal", "thermal:x", "squeezed:0.5", "squeezed:1,2,3",
@@ -172,6 +173,23 @@ class TestSpectraCommand:
         doc = json.loads(json_out.read_text())
         for name in cols:
             assert doc[name] == floats(cols[name]), name
+
+    def test_zero_occupation_and_squeezing_write_vacuum(self, tmp_path):
+        # thermal:0 and squeezed:0,phi are the vacuum state, so they take the
+        # closed-form route and write vacuum's numbers
+        base = ["spectra", "--delta", "0.5", "--theta", "0.4", "--n-half", "32"]
+        bodies, docs = [], []
+        for spec in ("vacuum", "thermal:0", "squeezed:0,1.3"):
+            csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+            assert main(base + [f"--input={spec}", f"--out={csv_out}"]) == 0
+            assert main(base + [f"--input={spec}", "--format=json",
+                                f"--out={json_out}"]) == 0
+            bodies.append(csv_out.read_bytes().split(b"\n", 1)[1])
+            doc = json.loads(json_out.read_text())
+            assert doc.pop("config")["input_state"] == spec
+            docs.append(doc)
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+        assert docs[1] == docs[0] and docs[2] == docs[0]
 
     def test_single_sided_folds_densities(self, tmp_path):
         two, one = tmp_path / "two.csv", tmp_path / "one.csv"

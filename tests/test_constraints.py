@@ -142,6 +142,19 @@ class TestConstraintReport:
             assert all(v is q.Verdict.quantum_limited for v in report.verdicts), \
                 (params, phi)
 
+    def test_mixed_squeezed_input_sits_above_the_limit(self, grid129):
+        # a squeezed thermal line is not pure: (N + 1/2)^2 - |M|^2 =
+        # (n_th + 1/2)^2 > 1/4 opens the gap at every frequency
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            params = draw_cavity(rng)
+            state = q.InputState(float(rng.uniform(0.1, 2.0)),
+                                 float(rng.uniform(0.0, 1.5)),
+                                 float(rng.uniform(-np.pi, np.pi)))
+            report = q.constraint_report(*_engine_run(params, grid129, state))
+            assert all(v is q.Verdict.above_limit for v in report.verdicts), \
+                (params, state)
+
     def test_doctored_spectra_flag_violation(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)

@@ -153,6 +153,15 @@ class TestMechOscillator:
 
 
 class TestInputState:
+    def test_fields_are_the_factor_form(self):
+        assert [f.name for f in dataclasses.fields(q.InputState)] == ["n_th", "r", "phi"]
+        assert q.InputState(0.5, 0.7, 0.3).kind == "squeezed"
+        assert q.InputState(0.5).kind == "thermal"
+        for state in (q.InputState(), q.InputState.thermal(0.0),
+                      q.InputState.squeezed(0.0), q.InputState(0.0, 0.0, 1.3)):
+            assert state.kind == "vacuum"
+            assert state.moments() == (0.0, 0.0)
+
     def test_vacuum_moments(self):
         assert q.InputState.vacuum().moments() == (0.0, 0.0)
 
@@ -167,10 +176,36 @@ class TestInputState:
         with pytest.raises(ValueError, match="magnitude 800"):
             q.InputState.squeezed(800.0)
         # directly built states are checked at construction, as the others
-        for n, m in ((math.inf, 0.0), (math.nan, 0.0), (1.0, complex(0.0, math.nan)),
-                     (np.full(129, math.inf), 0.0), (-0.5, 0.0)):
+        for n_th, r, phi in ((math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                             (0.0, math.inf, 0.0), (0.0, math.nan, 0.0),
+                             (0.0, 0.5, math.inf), (0.0, 0.5, math.nan),
+                             (np.full(129, 0.5), 0.0, 0.0), (-0.5, 0.0, 0.0),
+                             (0.0, -0.5, 0.0), (1.0, 400.0, 0.0)):
             with pytest.raises(ValueError):
-                q.InputState("custom", n, m)
+                q.InputState(n_th, r, phi)
+
+    def test_moments_keep_the_moment_formulas_bit_for_bit(self):
+        def bits(n, m):
+            return float(n).hex(), complex(m).real.hex(), complex(m).imag.hex()
+
+        assert bits(*q.InputState.vacuum().moments()) == bits(0.0, 0.0)
+        for n in (0.0, 1e-300, 0.3, 1.5, 7.25, 1e5):
+            assert bits(*q.InputState.thermal(n).moments()) == bits(n, 0.0)
+        rng = np.random.default_rng(5)
+        for r, phi in zip(rng.uniform(0.0, 6.0, 200), rng.uniform(-4.0, 4.0, 200)):
+            xi = r * np.exp(1j * phi)
+            r, phi = np.abs(xi), np.angle(xi)
+            expect = (np.sinh(r) ** 2, np.exp(1j * phi) * np.sinh(r) * np.cosh(r))
+            assert bits(*q.InputState.squeezed(xi).moments()) == bits(*expect)
+
+    @given(st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_state_is_physical(self, n_th, r, phi):
+        # the quadrature covariance determinant is (n_th + 1/2)^2 >= 1/4
+        n, m = q.InputState(n_th, r, phi).moments()
+        assert (n + 0.5) ** 2 - abs(m) ** 2 == pytest.approx(
+            (n_th + 0.5) ** 2, rel=0.0, abs=1e-12 * (n + 0.5) ** 2)
 
     def test_squeezed_moments(self):
         r, phi = 0.7, 0.3
@@ -185,11 +220,6 @@ class TestInputState:
         # |M|^2 = N (N + 1), i.e. quadrature covariance determinant 1/4
         assert n * (n + 1.0) - abs(m) ** 2 == pytest.approx(0.0, abs=2.6e-11)
 
-    def test_pair_moment_bound_enforced(self):
-        # |M|^2 = 4 > N (N + 1) = 2
-        with pytest.raises(ValueError, match="too large"):
-            q.InputState(kind="custom", mean_occupation=1.0, pair_moment=2.0)
-
     def test_pair_moment_must_be_even(self):
         # pairing correlates +omega with -omega, so M(omega) = M(-omega); the
         # moments are frequency-independent scalars, which holds by construction
@@ -197,4 +227,6 @@ class TestInputState:
         with pytest.raises(ValueError):
             q.InputState.squeezed(xi)
         with pytest.raises(ValueError, match="scalars"):
-            q.InputState(kind="custom", mean_occupation=1.0, pair_moment=xi)
+            q.InputState(n_th=1.0, r=xi)
+        with pytest.raises(ValueError, match="scalars"):
+            q.InputState(n_th=1.0, r=0.3, phi=xi)

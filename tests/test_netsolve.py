@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -361,7 +362,10 @@ class TestBlocks:
         else:
             net = _passive_test_network(int(case), rng, state)
         sizes = {3}
-        for width in (net.n_modes, 4 * net.n_lines):  # resolvent, spectra form
+        widths = [net.n_modes, 4 * net.n_lines]  # resolvent, spectra form
+        if case == "fallback":
+            widths.append(net.n_modes ** 2)  # the batched solve's n x n systems
+        for width in widths:
             step = netsolve._blocks(10**5, width)[0][1]
             sizes |= {step - 1, step, step + 1}
         for size in sorted(sizes):
@@ -392,6 +396,27 @@ class TestBlocks:
         chi_ff = q.solve_susceptibilities(net, grid).chi_ff
         residual = q.kubo_check(got.s_ff, chi_ff).values
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(chi_ff.values.imag))
+
+    def test_fallback_memory_does_not_grow_with_modes(self, monkeypatch):
+        # the batched solve's blocks hold (points, n, n) systems, so they are
+        # cut by n^2 values per point and stay as small as the eigen path's
+        grid = q.make_symmetric_grid(5.0, 5000)
+        state = q.InputState.thermal(0.7)
+        peaks = []
+        for cond in (netsolve._MAX_MODE_COND, -1.0):
+            monkeypatch.setattr(netsolve, "_MAX_MODE_COND", cond)
+            net = _passive_test_network(16, np.random.default_rng(16), state)
+            assert (net._modes[1] is None) == (cond < 0)
+            tracemalloc.start()
+            try:
+                results = (q.solve_susceptibilities(net, grid),
+                           q.solve_unsym_spectra(net, grid))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del results
+        eigen, fallback = peaks
+        assert fallback <= 1.5 * eigen, (eigen, fallback)
 
     def test_blocks_cover_the_grid_once(self):
         for size in (1, 15, 16, 17, 6241):
