@@ -45,8 +45,6 @@ from .constraints import (
     constraint_report,
     mimo_quantum_limit,
     positivity_margin,
-    quantum_limit_residuals,
-    uncertainty_gap,
 )
 from .core import (
     CavityParams,
@@ -124,7 +122,6 @@ __all__ = [
     "parse_input_state",
     "passive_network",
     "positivity_margin",
-    "quantum_limit_residuals",
     "qubit_rates",
     "response_denominator",
     "sideband_asymmetry",
@@ -132,5 +129,4 @@ __all__ = [
     "solve_unsym_spectra",
     "symmetrize",
     "thermal_force_spectrum",
-    "uncertainty_gap",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CavityParams, ComplexSpectrum, FrequencyGrid
+from .core import CavityParams, ComplexSpectrum, FrequencyGrid, UnitConvention
 from .errors import SingularNormalizationError
 
 _IMAG_TOL = 1e-12
@@ -34,6 +34,7 @@ class SusceptibilitySet:
     chi_ff: force self-response (dynamical back action)
     chi_zz, chi_fz: identically zero for a valid detector, whose output
         commutes with itself at all times and never feels the readout
+    units: the hbar of the model the responses were computed from
     """
 
     grid: FrequencyGrid
@@ -41,6 +42,7 @@ class SusceptibilitySet:
     chi_ff: ComplexSpectrum
     chi_zz: ComplexSpectrum
     chi_fz: ComplexSpectrum
+    units: UnitConvention = UnitConvention()
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,7 @@ def cavity_susceptibilities(params: CavityParams,
         chi_ff=ComplexSpectrum(grid, chi_ff),
         chi_zz=ComplexSpectrum(grid, zero),
         chi_fz=ComplexSpectrum(grid, zero),
+        units=params.units,
     )
 
 
@@ -187,6 +190,15 @@ def cavity_unsym_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSe
     )
 
 
+def _require_signal(grid: FrequencyGrid, chi_zf: np.ndarray) -> None:
+    """Raise SingularNormalizationError where the signal response vanishes."""
+    bad = np.abs(chi_zf) < 1e-300
+    if np.any(bad):
+        raise SingularNormalizationError(
+            f"chi_zf vanishes at omega = {grid.points[bad][0]:.6g}; "
+            "the readout carries no signal there")
+
+
 def normalize(spectra: SpectraSet, susc: SusceptibilitySet) -> NormalizedSpectra:
     """Refer the readout noise to the measured variable, z = Z / chi_zf.
 
@@ -197,12 +209,7 @@ def normalize(spectra: SpectraSet, susc: SusceptibilitySet) -> NormalizedSpectra
     if spectra.grid != susc.grid:
         raise ValueError("spectra and susceptibilities live on different grids")
     chi = susc.chi_zf.values
-    bad = np.abs(chi) < 1e-300
-    if np.any(bad):
-        omega_bad = spectra.grid.points[bad][0]
-        raise SingularNormalizationError(
-            f"chi_zf vanishes at omega = {omega_bad:.6g}; "
-            "the readout carries no signal there")
+    _require_signal(spectra.grid, chi)
     return NormalizedSpectra(
         grid=spectra.grid,
         imprecision=ComplexSpectrum(spectra.grid,

@@ -1,5 +1,11 @@
 """Residuals and margins for the general quantum measurement constraints.
 
+The uncertainty relation and the two quantum-limit equalities share one set
+of terms. With d0 = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2 and
+I = hbar Im[S_zf^* chi_zf - chi_ff S_zz] (symmetrized spectra), the gap is
+d0 - |I|, the product residual is r1 = d0 / |chi_zf|^2 and the correlation
+residual is r2 = -I / (hbar |chi_zf|^2), so gap = |chi_zf|^2 (r1 - hbar |r2|).
+
 Every check is scale-aware: a residual is compared against _TOL * scale with
 scale the largest constituent term at that frequency, since the raw magnitudes
 vary over many orders across parameter sweeps.
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import NormalizedSpectra, SpectraSet, SusceptibilitySet, normalize
+from .cavity import SpectraSet, SusceptibilitySet, _require_signal
 from .core import ComplexSpectrum, FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import kubo_check, symmetrize
@@ -58,11 +64,14 @@ class ConstraintReport:
     """Per-frequency results of all constraint checks.
 
     uncertainty_gap:      left minus right side of the noise uncertainty
-                          relation; zero at the quantum limit, positive above
+                          relation, d0 - |I|; zero at the quantum limit,
+                          positive above
     product_residual:     referred imprecision-times-back-action product minus
-                          the hbar^2/4 floor (zero at the quantum limit)
+                          the hbar^2/4 floor, d0 / |chi_zf|^2 (zero at the
+                          quantum limit)
     correlation_residual: phase condition tying the referred cross spectrum to
-                          dynamical back action (zero at the quantum limit)
+                          dynamical back action, -I / (hbar |chi_zf|^2) (zero
+                          at the quantum limit)
     kubo_residual:        fluctuation-dissipation residual of the force noise
     positivity_margin:    S_ff_sym - hbar |Im chi_ff|, the smaller of the two
                           single-sided force spectra; negative values are
@@ -91,23 +100,6 @@ def _require_valid_detector(susc: SusceptibilitySet) -> None:
             f"readout responds to itself or drives the force "
             f"(|chi_zz|, |chi_fz| up to {worst:.3g}); simultaneous "
             "measurability of the record requires both to vanish")
-
-
-def uncertainty_gap(spectra: SpectraSet, susc: SusceptibilitySet,
-                    units: UnitConvention = UnitConvention()) -> np.ndarray:
-    """Noise uncertainty relation, as (left - right) per frequency.
-
-    gap = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2
-          - hbar |Im[S_zf^* chi_zf - chi_ff S_zz]|
-
-    All spectra symmetrized. A chi_zz or chi_fz above 1e-9 times the peak
-    |chi_zf| invalidates the premise and raises NotAValidDetectorError.
-    """
-    if not spectra.symmetrized:
-        raise ValueError("uncertainty_gap expects symmetrized spectra")
-    _require_valid_detector(susc)
-    d0, im_term, _ = _gap_terms(spectra, susc, units.hbar)
-    return d0 - np.abs(im_term)
 
 
 def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
@@ -141,25 +133,6 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
         raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "
                          "the input spectra are out of range")
     return d0, im_term, scale
-
-
-def quantum_limit_residuals(norm: NormalizedSpectra, chi_ff: ComplexSpectrum,
-                            units: UnitConvention = UnitConvention()
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantum-limit equalities in referred form, as two real residuals.
-
-    r1 = s_zz S_ff - |s_zf|^2 - hbar^2/4
-    r2 = Im[s_zf] + Im[chi_ff] s_zz
-
-    Both vanish pointwise for a pure (vacuum or squeezed) detector state.
-    """
-    hbar = units.hbar
-    s_zz = norm.imprecision.values.real
-    s_zf = norm.cross.values
-    s_ff = norm.force.values.real
-    r1 = s_zz * s_ff - np.abs(s_zf) ** 2 - 0.25 * hbar ** 2
-    r2 = s_zf.imag + chi_ff.values.imag * s_zz
-    return r1, r2
 
 
 def positivity_margin(s_ff_sym: ComplexSpectrum, chi_ff: ComplexSpectrum,
@@ -242,8 +215,7 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
 
 
 def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
-                      units: UnitConvention = UnitConvention()
-                      ) -> ConstraintReport:
+                      units: UnitConvention | None = None) -> ConstraintReport:
     """Run every per-frequency check on one detector's engine output.
 
     Takes unsymmetrized spectra (for the fluctuation-dissipation residual),
@@ -251,23 +223,31 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     t = 1e-9*scale: quantum_limited when |gap| <= t, above_limit when
     gap > t, violation when gap < -t (inconsistent inputs, never valid
     physics) or when the gap is not finite.
+
+    hbar is ``susc.units``, the model's own; a ``units`` that differs from
+    it raises ValueError. Raises SingularNormalizationError where chi_zf
+    vanishes, since the two equalities are referred to the signal.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
+    if spectra_unsym.grid != susc.grid:
+        raise ValueError("spectra and susceptibilities live on different grids")
+    if units not in (None, susc.units):
+        raise ValueError(f"units {units} differ from the susceptibilities' "
+                         f"{susc.units}")
+    units = susc.units
     _require_valid_detector(susc)
     sym = symmetrize(spectra_unsym)
     d0, im_term, scale = _gap_terms(sym, susc, units.hbar)
+    _require_signal(susc.grid, susc.chi_zf.values)
+    signal = np.abs(susc.chi_zf.values) ** 2
     gap = d0 - np.abs(im_term)
-    norm = normalize(sym, susc)
-    r1, r2 = quantum_limit_residuals(norm, susc.chi_ff, units)
-    kubo = kubo_check(spectra_unsym.s_ff, susc.chi_ff, units).values.real
-    margin = positivity_margin(sym.s_ff, susc.chi_ff, units)
     return ConstraintReport(
         grid=spectra_unsym.grid,
         uncertainty_gap=gap,
-        product_residual=r1,
-        correlation_residual=r2,
-        kubo_residual=kubo,
-        positivity_margin=margin,
+        product_residual=d0 / signal,
+        correlation_residual=-im_term / (units.hbar * signal),
+        kubo_residual=kubo_check(spectra_unsym.s_ff, susc.chi_ff, units).values.real,
+        positivity_margin=positivity_margin(sym.s_ff, susc.chi_ff, units),
         verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300)),
     )

@@ -355,6 +355,7 @@ def solve_susceptibilities(net: LinearNetwork,
         chi_ff=chi(1, 1),
         chi_zz=chi(0, 0),
         chi_fz=chi(1, 0),
+        units=net.units,
     )
 
 

@@ -37,3 +37,21 @@ def generic_params() -> q.CavityParams:
 @pytest.fixture
 def grid129() -> q.FrequencyGrid:
     return q.make_symmetric_grid(4.0, 64)
+
+
+def referred_residuals(spectra_unsym: q.SpectraSet, susc: q.SusceptibilitySet
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The quantum-limit residuals from their referred formulas.
+
+    A reference for ``constraint_report``, which derives them from the gap's
+    terms: with s = normalize(symmetrize(spectra)),
+    r1 = s_zz S_ff - |s_zf|^2 - hbar^2/4 and r2 = Im s_zf + Im chi_ff s_zz.
+    """
+    hbar = susc.units.hbar
+    norm = q.normalize(q.symmetrize(spectra_unsym), susc)
+    s_zz = norm.imprecision.values.real
+    s_zf = norm.cross.values
+    s_ff = norm.force.values.real
+    r1 = s_zz * s_ff - np.abs(s_zf) ** 2 - 0.25 * hbar ** 2
+    r2 = s_zf.imag + susc.chi_ff.values.imag * s_zz
+    return r1, r2

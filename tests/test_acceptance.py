@@ -32,13 +32,12 @@ def test_criterion_01_referred_residuals_vanish_in_vacuum():
     start = time.perf_counter()
     for params in SWEEP:
         uns, susc = _engine(params)
-        sym = q.symmetrize(uns)
-        norm = q.normalize(sym, susc)
-        r1, r2 = q.quantum_limit_residuals(norm, susc.chi_ff)
+        report = q.constraint_report(uns, susc)
+        norm = q.normalize(q.symmetrize(uns), susc)
         s_zz = norm.imprecision.values.real
-        s_ff = sym.s_ff.values.real
-        assert np.all(np.abs(r1) <= 1e-9 * (s_zz * s_ff))
-        assert np.all(np.abs(r2) <= 1e-9 * (
+        s_ff = norm.force.values.real
+        assert np.all(np.abs(report.product_residual) <= 1e-9 * (s_zz * s_ff))
+        assert np.all(np.abs(report.correlation_residual) <= 1e-9 * (
             np.abs(susc.chi_ff.values.imag) * s_zz + HBAR))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"sweep took {elapsed:.3f}s"
@@ -48,17 +47,15 @@ def test_criterion_02_gap_zero_in_vacuum_positive_and_monotone_thermal():
     start = time.perf_counter()
     for params in SWEEP:
         uns, susc = _engine(params)
+        gap = q.constraint_report(uns, susc).uncertainty_gap
         sym = q.symmetrize(uns)
-        gap = q.uncertainty_gap(sym, susc)
-        norm = q.normalize(sym, susc)
-        scale = np.abs(susc.chi_zf.values) ** 2 * (
-            norm.imprecision.values.real * sym.s_ff.values.real)
+        scale = sym.s_zz.values.real * sym.s_ff.values.real
         assert np.all(np.abs(gap) <= 1e-9 * scale)
 
         previous = gap
         for n in (0.5, 1.0, 2.0):
-            uns_t, susc_t = _engine(params, q.InputState.thermal(n))
-            gap_t = q.uncertainty_gap(q.symmetrize(uns_t), susc_t)
+            gap_t = q.constraint_report(*_engine(params, q.InputState.thermal(n))
+                                        ).uncertainty_gap
             assert np.all(gap_t > 0.0)
             assert np.all(gap_t > previous)
             previous = gap_t

@@ -521,6 +521,15 @@ class TestExitCodes:
         assert "area" in err and "n_occupation" in err and "theta" in err
         assert not out.exists()
 
+    def test_check_without_signal_exits_4(self, tmp_path, capsys):
+        # theta = 0 and delta = 0 kill chi_zf at every frequency
+        out = tmp_path / "c.csv"
+        assert main(["check", "--theta=0", "--delta=0", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: chi_zf vanishes at omega = -5; "
+            "the readout carries no signal there\n")
+        assert not out.exists()
+
     def test_missing_output_directory_exits_1(self, tmp_path, capsys):
         code = main(["qubit", "--out", str(tmp_path / "no/such/dir/x.csv")])
         assert code == 1

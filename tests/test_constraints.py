@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import draw_cavity
+from conftest import draw_cavity, referred_residuals
 
 HBAR = 1.0
 
@@ -18,37 +18,39 @@ def _engine_run(params, grid, state=None):
 
 class TestUncertaintyGap:
     def test_vacuum_sits_on_the_limit(self, generic_params, grid129):
-        sym = q.cavity_spectra(generic_params, grid129)
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
-        gap = q.uncertainty_gap(sym, susc)
+        gap = q.constraint_report(uns, susc).uncertainty_gap
+        sym = q.cavity_spectra(generic_params, grid129)
         scale = np.max(sym.s_ff.values.real) * np.max(np.abs(susc.chi_zf.values)) ** 2
         assert np.max(np.abs(gap)) <= 1e-12 * scale
 
     def test_thermal_opens_the_gap(self, generic_params, grid129):
         uns, susc = _engine_run(generic_params, grid129, q.InputState.thermal(1.0))
-        gap = q.uncertainty_gap(q.symmetrize(uns), susc)
-        assert np.all(gap > 0.0)
+        assert np.all(q.constraint_report(uns, susc).uncertainty_gap > 0.0)
 
     def test_factored_form_identity(self):
-        # gap == |chi_zf|^2 (r1 - hbar |r2|), with r1, r2 the referred
-        # residuals: a nontrivial algebraic identity tying the two layers
+        # gap == |chi_zf|^2 (r1 - hbar |r2|), with r1, r2 from the referred
+        # formulas: a nontrivial algebraic identity tying the two layers
         rng = np.random.default_rng(11)
         grid = q.make_symmetric_grid(4.0, 24)
         for _ in range(25):
             params = draw_cavity(rng)
             for state in (q.InputState.vacuum(), q.InputState.thermal(1.3)):
                 uns, susc = _engine_run(params, grid, state)
-                sym = q.symmetrize(uns)
-                gap = q.uncertainty_gap(sym, susc)
-                norm = q.normalize(sym, susc)
-                r1, r2 = q.quantum_limit_residuals(norm, susc.chi_ff)
-                rebuilt = np.abs(susc.chi_zf.values) ** 2 * (r1 - HBAR * np.abs(r2))
+                report = q.constraint_report(uns, susc)
+                r1, r2 = referred_residuals(uns, susc)
+                chi_sq = np.abs(susc.chi_zf.values) ** 2
+                rebuilt = chi_sq * (r1 - HBAR * np.abs(r2))
                 # both sides cancel to ~eps * (products); scale by the
                 # products, not by the (possibly zero) gap itself
-                norm_prod = (norm.imprecision.values.real
-                             * sym.s_ff.values.real + HBAR ** 2 / 4)
-                scale = np.max(np.abs(susc.chi_zf.values) ** 2 * norm_prod)
-                assert np.max(np.abs(gap - rebuilt)) <= 1e-12 * scale
+                sym = q.symmetrize(uns)
+                scale = np.max(sym.s_zz.values.real * sym.s_ff.values.real
+                               + HBAR ** 2 / 4 * chi_sq)
+                assert np.max(np.abs(report.uncertainty_gap - rebuilt)) <= 1e-12 * scale
+                rebuilt = chi_sq * (report.product_residual
+                                    - HBAR * np.abs(report.correlation_residual))
+                assert np.max(np.abs(report.uncertainty_gap - rebuilt)) <= 1e-12 * scale
 
     def test_inflated_cross_correlation_violates(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
@@ -56,42 +58,92 @@ class TestUncertaintyGap:
         s_zf = q.ComplexSpectrum(grid129, 2.0 * uns.s_zf.values)
         doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=s_zf,
                                 s_ff=uns.s_ff, symmetrized=False)
-        gap = q.uncertainty_gap(q.symmetrize(doctored), susc)
-        assert np.min(gap) < 0.0
+        assert np.min(q.constraint_report(doctored, susc).uncertainty_gap) < 0.0
 
     def test_checks_detector_validity_first(self, generic_params, grid129):
-        sym = q.cavity_spectra(generic_params, grid129)
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
         chi_zz = q.ComplexSpectrum(grid129, 0.5 * susc.chi_zf.values)
-        bad = q.SusceptibilitySet(grid=grid129, chi_zf=susc.chi_zf,
-                                  chi_ff=susc.chi_ff, chi_zz=chi_zz,
-                                  chi_fz=susc.chi_fz)
-        with pytest.raises(q.NotAValidDetectorError):
-            q.uncertainty_gap(sym, bad)
+        # a vanishing chi_zf would raise too, but validity is checked first
+        chi_zf = q.ComplexSpectrum(grid129, np.zeros(len(grid129), dtype=complex))
+        for signal in (susc.chi_zf, chi_zf):
+            bad = q.SusceptibilitySet(grid=grid129, chi_zf=signal,
+                                      chi_ff=susc.chi_ff, chi_zz=chi_zz,
+                                      chi_fz=susc.chi_fz)
+            with pytest.raises(q.NotAValidDetectorError):
+                q.constraint_report(uns, bad)
 
 
 class TestReferredResiduals:
     def test_vacuum_residuals_vanish(self, generic_params, grid129):
-        sym = q.cavity_spectra(generic_params, grid129)
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
-        r1, r2 = q.quantum_limit_residuals(q.normalize(sym, susc), susc.chi_ff)
-        norm = q.normalize(sym, susc)
+        report = q.constraint_report(uns, susc)
+        norm = q.normalize(q.cavity_spectra(generic_params, grid129), susc)
         s_zz = norm.imprecision.values.real
-        s_ff = sym.s_ff.values.real
-        assert np.max(np.abs(r1)) <= 1e-9 * np.max(s_zz * s_ff)
+        s_ff = norm.force.values.real
+        assert np.max(np.abs(report.product_residual)) <= 1e-9 * np.max(s_zz * s_ff)
         r2_scale = np.abs(susc.chi_ff.values.imag) * s_zz + HBAR
-        assert np.max(np.abs(r2) / r2_scale) <= 1e-9
+        assert np.max(np.abs(report.correlation_residual) / r2_scale) <= 1e-9
 
     def test_correlation_identity_against_raw_form(self, generic_params, grid129):
         # Im[conj(S_zf_sym) chi_zf - chi_ff S_zz_sym] == -r2 |chi_zf|^2
-        sym = q.cavity_spectra(generic_params, grid129)
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
-        _, r2 = q.quantum_limit_residuals(q.normalize(sym, susc), susc.chi_ff)
+        r2 = q.constraint_report(uns, susc).correlation_residual
+        sym = q.cavity_spectra(generic_params, grid129)
         raw = np.imag(np.conj(sym.s_zf.values) * susc.chi_zf.values
                       - susc.chi_ff.values * sym.s_zz.values)
         rebuilt = -r2 * np.abs(susc.chi_zf.values) ** 2
         scale = np.max(np.abs(raw)) + np.max(np.abs(susc.chi_zf.values)) ** 2
         assert np.max(np.abs(raw - rebuilt)) <= 1e-12 * scale
+
+
+_RATE = st.floats(0.0, 1.0)
+
+
+class TestWideRange:
+    @given(log_s=st.floats(-8.0, 8.0), log_hbar=st.floats(-3.0, 3.0),
+           shape=st.tuples(_RATE, _RATE, _RATE, _RATE),
+           state=st.one_of(
+               st.just(q.InputState.vacuum()),
+               st.builds(q.InputState.thermal, st.floats(0.1, 3.0)),
+               st.builds(lambda r, phi: q.InputState(0.0, r, phi),
+                         st.floats(0.0, 2.0), st.floats(-np.pi, np.pi))))
+    def test_verdicts_and_residuals_at_any_scale(self, log_s, log_hbar,
+                                                 shape, state):
+        # every rate and the grid scaled by one s, hbar != 1: pure inputs sit
+        # on the limit, thermal ones above it, and the residuals derived from
+        # the gap's terms match the referred formulas
+        s, hbar = 10.0 ** log_s, 10.0 ** log_hbar
+        a, b, c, d = shape
+        params = q.CavityParams(gamma=s * 0.05 * 100.0 ** a,
+                                delta=s * 3.0 * (2.0 * b - 1.0),
+                                gbar=s * 0.1 * 30.0 ** c,
+                                theta=np.pi * (d - 0.5),
+                                units=q.UnitConvention(hbar))
+        # zero gain at omega = 0 leaves no signal to refer to, which the
+        # audit rejects (test_rejects_grid_mismatch_and_vanishing_signal)
+        assume(params.delta * np.cos(params.theta)
+               != params.gamma * np.sin(params.theta))
+        uns, susc = _engine_run(params, q.make_symmetric_grid(4.0 * s, 16), state)
+        report = q.constraint_report(uns, susc)
+        expected = (q.Verdict.above_limit if state.kind == "thermal"
+                    else q.Verdict.quantum_limited)
+        assert all(v is expected for v in report.verdicts)
+
+        sym = q.symmetrize(uns)
+        chi_zf, chi_ff = susc.chi_zf.values, susc.chi_ff.values
+        s_zz, s_ff, s_zf = sym.s_zz.values.real, sym.s_ff.values.real, sym.s_zf.values
+        im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
+        scale = np.maximum.reduce([s_zz * s_ff, np.abs(s_zf) ** 2,
+                                   0.25 * hbar ** 2 * np.abs(chi_zf) ** 2,
+                                   np.abs(im_term)]) / np.abs(chi_zf) ** 2
+        r1, r2 = referred_residuals(uns, susc)
+        # r1 carries hbar^2 and r2 hbar, as gap = |chi_zf|^2 (r1 - hbar |r2|)
+        assert np.all(np.abs(report.product_residual - r1) <= 1e-12 * scale)
+        assert np.all(np.abs(report.correlation_residual - r2)
+                      <= 1e-12 * scale / hbar)
 
 
 class TestPositivityMargin:
@@ -154,6 +206,32 @@ class TestConstraintReport:
             report = q.constraint_report(*_engine_run(params, grid129, state))
             assert all(v is q.Verdict.above_limit for v in report.verdicts), \
                 (params, state)
+
+    @pytest.mark.parametrize("hbar", [2.0, 0.5])
+    def test_hbar_comes_from_the_susceptibilities(self, grid129, hbar):
+        # a vacuum input sits on the limit at any hbar; read with hbar = 1
+        # it was called above_limit (hbar = 2) or a violation (hbar = 0.5)
+        units = q.UnitConvention(hbar)
+        params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1.0, theta=0.4,
+                                units=units)
+        uns, susc = _engine_run(params, grid129)
+        assert susc.units == units
+        assert q.cavity_susceptibilities(params, grid129).units == units
+        for report in (q.constraint_report(uns, susc),
+                       q.constraint_report(uns, susc, units=units)):
+            assert all(v is q.Verdict.quantum_limited for v in report.verdicts)
+        with pytest.raises(ValueError, match="units"):
+            q.constraint_report(uns, susc, units=q.UnitConvention())
+
+    def test_rejects_grid_mismatch_and_vanishing_signal(self, grid129):
+        params = q.CavityParams(gamma=2.0, delta=0.0, gbar=1.0, theta=0.0)
+        uns = q.cavity_unsym_spectra(params, grid129)
+        other = q.make_symmetric_grid(3.0, 64)
+        with pytest.raises(ValueError, match="different grids"):
+            q.constraint_report(uns, q.cavity_susceptibilities(params, other))
+        with pytest.raises(q.SingularNormalizationError,
+                           match="chi_zf vanishes at omega = -4;"):
+            q.constraint_report(uns, q.cavity_susceptibilities(params, grid129))
 
     def test_doctored_spectra_flag_violation(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)

@@ -1,6 +1,7 @@
 """The package surface: its exported names, its imports and its scripts."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -111,10 +112,9 @@ def test_public_names_are_pinned():
         "make_symmetric_grid", "mimo_quantum_limit",
         "modified_mech_susceptibility", "normalize", "optimal_angle",
         "parse_config", "parse_input_state", "passive_network",
-        "positivity_margin", "quantum_limit_residuals", "qubit_rates",
-        "response_denominator", "sideband_asymmetry",
-        "solve_susceptibilities", "solve_unsym_spectra", "symmetrize",
-        "thermal_force_spectrum", "uncertainty_gap",
+        "positivity_margin", "qubit_rates", "response_denominator",
+        "sideband_asymmetry", "solve_susceptibilities",
+        "solve_unsym_spectra", "symmetrize", "thermal_force_spectrum",
     ]
     for name in q.__all__:
         assert getattr(q, name) is not None, name
@@ -138,3 +138,16 @@ def test_script_runs(script, args, header, n_rows, tmp_path, monkeypatch,
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + n_rows
+
+
+def test_readme_examples_run(capsys):
+    # the README's python blocks run in order, in one namespace, so no
+    # deleted name lingers in the docs
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    out = capsys.readouterr().out
+    assert "above_limit" in out

@@ -80,6 +80,28 @@ def summarise(pairs: list[dict]) -> dict:
     return out
 
 
+def pair_plan(parser: argparse.ArgumentParser, items: list[str]
+              ) -> list[tuple[str, int]]:
+    """(workload, pairs) per ``--pairs`` item, or a usage error before any run.
+
+    Quartiles need at least two pairs, and a workload must be one that
+    BENCHMARK.json declares.
+    """
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    plan = []
+    for item in items:
+        name, _, count = item.partition("=")
+        try:
+            pairs = int(count)
+        except ValueError:
+            pairs = 0
+        if name not in workloads or pairs < 2:
+            parser.error(f"--pairs {item}: expected NAME=N with NAME one of "
+                         f"{', '.join(workloads)} and N an integer of at least 2")
+        plan.append((name, pairs))
+    return plan
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -87,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD=N", help="N pairs of WORKLOAD (repeatable)")
     args = parser.parse_args(argv)
-    plan = [(name, int(count)) for name, count in
-            (item.split("=", 1) for item in args.pairs)]
+    plan = pair_plan(parser, args.pairs)
 
     record = {"command": BENCHMARK["command"] + ["--trace", "0"],
               "seconds": SECONDS,
