@@ -44,7 +44,6 @@ from .constraints import (
     assemble_mimo_matrix,
     constraint_report,
     mimo_quantum_limit,
-    positivity_margin,
 )
 from .core import (
     CavityParams,
@@ -121,7 +120,6 @@ __all__ = [
     "parse_config",
     "parse_input_state",
     "passive_network",
-    "positivity_margin",
     "qubit_rates",
     "response_denominator",
     "sideband_asymmetry",

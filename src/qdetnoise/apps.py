@@ -189,8 +189,10 @@ def closed_loop_poles(params: CavityParams, osc: MechOscillator) -> np.ndarray:
 
     Roots of the quartic obtained by clearing denominators in
     ``1 - chi0(omega) * chi_ff(omega) = 0``.  A stable system has every
-    root in the lower half-plane.
+    root in the lower half-plane.  Cavity and oscillator must share one hbar.
     """
+    if params.units != osc.units:
+        raise ValueError("cavity and oscillator carry different unit conventions")
     mass, omega_m, gamma_m = osc.mass, osc.omega_m, osc.gamma_m
     mech = np.array([-mass, -1j * mass * gamma_m, mass * omega_m**2])
     cav = np.array(
@@ -221,8 +223,6 @@ def _total_and_floor(
     force noise), with chi_q the dressed mechanical response.  Raises
     :class:`OpticalSpringInstabilityError` if a coupled mode fails to decay.
     """
-    if params.units != osc.units:
-        raise ValueError("cavity and oscillator carry different unit conventions")
     _require_stable(params, osc)
     susc = cavity_susceptibilities(params, grid)
     norm = normalize(cavity_spectra(params, grid), susc)
@@ -318,10 +318,12 @@ def asymmetry_grid(
     ``halfwidth_linewidths`` times the worst-case effective mechanical
     linewidth (intrinsic plus back-action damping).  The default window of
     forty linewidths keeps the truncated Lorentzian tails below the 1e-4
-    level in the integrated weight.
+    level in the integrated weight.  Cavity and oscillator must share one hbar.
     """
     if halfwidth_linewidths <= 0.0:
         raise ValueError("halfwidth_linewidths must be positive")
+    if params.units != osc.units:
+        raise ValueError("cavity and oscillator carry different unit conventions")
     omega_m = osc.omega_m
     gamma_opt = params.units.hbar * params.gbar**2 / (
         params.gamma * osc.mass * omega_m

@@ -42,7 +42,7 @@ class SusceptibilitySet:
     chi_ff: ComplexSpectrum
     chi_zz: ComplexSpectrum
     chi_fz: ComplexSpectrum
-    units: UnitConvention = UnitConvention()
+    units: UnitConvention
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,7 @@ def cmd_check(cfg: RunConfig) -> int:
     net = build_one_sided_cavity(params, input_state=state)
     susc = solve_susceptibilities(net, grid)
     spectra = solve_unsym_spectra(net, grid)
-    report = constraint_report(spectra, susc, units=params.units)
+    report = constraint_report(spectra, susc)
     columns = {
         "omega": grid.points,
         "uncertainty_gap": report.uncertainty_gap,

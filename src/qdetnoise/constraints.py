@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import SpectraSet, SusceptibilitySet, _require_signal
-from .core import ComplexSpectrum, FrequencyGrid, UnitConvention
+from .core import FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import kubo_check, symmetrize
 
@@ -73,9 +73,10 @@ class ConstraintReport:
                           dynamical back action, -I / (hbar |chi_zf|^2) (zero
                           at the quantum limit)
     kubo_residual:        fluctuation-dissipation residual of the force noise
-    positivity_margin:    S_ff_sym - hbar |Im chi_ff|, the smaller of the two
-                          single-sided force spectra; negative values are
-                          unphysical
+    positivity_margin:    S_ff_sym - hbar |Im chi_ff|, the smaller of
+                          S_ff(+omega) and S_ff(-omega); negative values are
+                          unphysical, and it nearly vanishes for a
+                          resolved-sideband cavity at the probed sideband
     """
 
     grid: FrequencyGrid
@@ -133,17 +134,6 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
         raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "
                          "the input spectra are out of range")
     return d0, im_term, scale
-
-
-def positivity_margin(s_ff_sym: ComplexSpectrum, chi_ff: ComplexSpectrum,
-                      units: UnitConvention = UnitConvention()) -> np.ndarray:
-    """margin = S_ff_sym - hbar |Im chi_ff|, non-negative for physical spectra.
-
-    Equals the smaller of S_ff(+omega) and S_ff(-omega); it nearly vanishes
-    for a resolved-sideband cavity at the probed sideband, where one of the
-    single-sided force spectra dies out.
-    """
-    return s_ff_sym.values.real - units.hbar * np.abs(chi_ff.values.imag)
 
 
 def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...]"
@@ -248,6 +238,7 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
         product_residual=d0 / signal,
         correlation_residual=-im_term / (units.hbar * signal),
         kubo_residual=kubo_check(spectra_unsym.s_ff, susc.chi_ff, units).values.real,
-        positivity_margin=positivity_margin(sym.s_ff, susc.chi_ff, units),
+        positivity_margin=(sym.s_ff.values.real
+                           - units.hbar * np.abs(susc.chi_ff.values.imag)),
         verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300)),
     )

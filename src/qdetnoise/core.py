@@ -7,7 +7,8 @@ Conventions used throughout the package:
   the complex omega plane.
 * Spectral densities are double sided and defined through
   S_AB(omega) = integral dtau e^{i omega tau} <A(tau) B(0)>.
-* hbar enters only through UnitConvention; the default is 1.
+* hbar enters only through UnitConvention, which defaults (to 1) only on
+  the model records; every result and check reads it from its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _require_finite(record) -> None:
 class UnitConvention:
     """Value of hbar all formulas read; the default is 1.
 
-    Override it only when feeding laboratory numbers.
+    Set it on a model record when feeding laboratory numbers.
     """
 
     hbar: float = 1.0

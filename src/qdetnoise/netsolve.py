@@ -418,10 +418,12 @@ def symmetrize(spectra: SpectraSet) -> SpectraSet:
 
 
 def kubo_check(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
-               units: UnitConvention = UnitConvention()) -> ComplexSpectrum:
+               units: UnitConvention) -> ComplexSpectrum:
     """Fluctuation-dissipation residual, near zero for any consistent network.
 
     residual(omega) = Im chi_ff(omega) - [S_ff(omega) - S_ff(-omega)] / (2 hbar)
+
+    Bare spectra carry no hbar, so ``units`` is required: the model's own.
     """
     if s_ff_unsym.grid != chi_ff.grid:
         raise GridMismatchError("spectrum and susceptibility grids differ")

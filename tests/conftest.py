@@ -12,14 +12,18 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# hbar values a check must hold at: the default and one on either side of it.
+HBARS = (1.0, 0.5, 2.0)
 
-def draw_cavity(rng: np.random.Generator) -> q.CavityParams:
-    """One random, well-scaled cavity parameter set."""
+
+def draw_cavity(rng: np.random.Generator, hbar: float = 1.0) -> q.CavityParams:
+    """One random, well-scaled cavity parameter set with the given hbar."""
     gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
     delta = float(rng.uniform(-3.0, 3.0))
     gbar = float(np.exp(rng.uniform(np.log(0.1), np.log(3.0))))
     theta = float(rng.uniform(-np.pi / 2, np.pi / 2))
-    return q.CavityParams(gamma=gamma, delta=delta, gbar=gbar, theta=theta)
+    return q.CavityParams(gamma=gamma, delta=delta, gbar=gbar, theta=theta,
+                          units=q.UnitConvention(hbar))
 
 
 @pytest.fixture

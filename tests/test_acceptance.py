@@ -85,7 +85,7 @@ def test_criterion_04_fluctuation_dissipation_residual():
     for params in (q.CavityParams(gamma=2.0, delta=0.5, gbar=1.3, theta=0.4),
                    q.CavityParams(gamma=0.3, delta=-1.7, gbar=0.8, theta=-0.9)):
         uns, susc = _engine(params)
-        residual = q.kubo_check(uns.s_ff, susc.chi_ff).values.real
+        residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units).values.real
         scale = np.max(np.abs(susc.chi_ff.values.imag))
         assert np.max(np.abs(residual)) <= 1e-9 * scale
 
@@ -104,7 +104,7 @@ def test_criterion_04_fluctuation_dissipation_residual():
                              output_quad=rng.normal(size=2 * n_lines)))
     uns = q.solve_unsym_spectra(net, GRID129)
     susc = q.solve_susceptibilities(net, GRID129)
-    residual = q.kubo_check(uns.s_ff, susc.chi_ff).values.real
+    residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units).values.real
     scale = np.max(np.abs(susc.chi_ff.values.imag))
     assert np.max(np.abs(residual)) <= 1e-9 * scale
 

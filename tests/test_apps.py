@@ -220,12 +220,18 @@ class TestTotalOutputSpectrum:
             q.sideband_asymmetry(params, osc, grid)
 
     def test_units_must_agree(self):
+        # every public function that mixes the two models' hbar refuses
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=1e-5, theta=0.0,
                                 units=q.UnitConvention(hbar=2.0))
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
         grid = q.make_symmetric_grid(2.0, 64)
-        with pytest.raises(ValueError, match="unit"):
+        message = "different unit conventions"
+        with pytest.raises(ValueError, match=message):
             q.sideband_asymmetry(params, osc, grid)
+        with pytest.raises(ValueError, match=message):
+            q.closed_loop_poles(params, osc)
+        with pytest.raises(ValueError, match=message):
+            q.asymmetry_grid(params, osc)
 
     def test_motional_peak_stands_on_the_floor(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import draw_cavity
+from conftest import HBARS, draw_cavity
 
 # Frozen oracle values at gamma=2, delta=0.5, gbar=1.3, theta=0.4, omega=0.9,
 # hbar=1, computed once from an independent transcription of the closed forms.
@@ -117,17 +117,18 @@ class TestSpectra:
                          s_ff=q.ComplexSpectrum(grid129, vals),
                          symmetrized=True)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_positivity_of_both_sidebands(self, seed):
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(HBARS))
+    def test_positivity_of_both_sidebands(self, seed, hbar):
         # S_ff_sym >= hbar |Im chi_ff| everywhere: both single-sided spectra
         # are non-negative
         rng = np.random.default_rng(seed)
-        params = draw_cavity(rng)
+        params = draw_cavity(rng, hbar)
         grid = q.make_symmetric_grid(6.0, 40)
-        sym = q.cavity_spectra(params, grid)
+        uns = q.cavity_unsym_spectra(params, grid)
         susc = q.cavity_susceptibilities(params, grid)
-        margin = q.positivity_margin(sym.s_ff, susc.chi_ff)
-        assert np.all(margin >= -1e-12 * np.max(sym.s_ff.values.real))
+        margin = q.constraint_report(uns, susc).positivity_margin
+        s_ff = q.symmetrize(uns).s_ff.values.real
+        assert np.all(margin >= -1e-12 * np.max(s_ff))
 
 
 class TestOutOfRange:

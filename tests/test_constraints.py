@@ -1,12 +1,14 @@
 """Quantum-limit checks: gap, residual identities, verdicts, MIMO determinant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import draw_cavity, referred_residuals
+from conftest import HBARS, draw_cavity, referred_residuals
 
 HBAR = 1.0
 
@@ -69,7 +71,7 @@ class TestUncertaintyGap:
         for signal in (susc.chi_zf, chi_zf):
             bad = q.SusceptibilitySet(grid=grid129, chi_zf=signal,
                                       chi_ff=susc.chi_ff, chi_zz=chi_zz,
-                                      chi_fz=susc.chi_fz)
+                                      chi_fz=susc.chi_fz, units=susc.units)
             with pytest.raises(q.NotAValidDetectorError):
                 q.constraint_report(uns, bad)
 
@@ -148,20 +150,24 @@ class TestWideRange:
 
 class TestPositivityMargin:
     def test_equals_smaller_sideband(self, generic_params, grid129):
-        uns, susc = _engine_run(generic_params, grid129)
-        sym = q.symmetrize(uns)
-        margin = q.positivity_margin(sym.s_ff, susc.chi_ff)
-        smaller = np.minimum(uns.s_ff.values.real, uns.s_ff.values.real[::-1])
-        assert np.allclose(margin, smaller, rtol=1e-10, atol=1e-12)
+        for hbar in HBARS:
+            params = dataclasses.replace(generic_params,
+                                         units=q.UnitConvention(hbar))
+            uns, susc = _engine_run(params, grid129)
+            margin = q.constraint_report(uns, susc).positivity_margin
+            smaller = np.minimum(uns.s_ff.values.real, uns.s_ff.values.real[::-1])
+            assert np.allclose(margin, smaller, rtol=1e-10, atol=1e-12), hbar
 
     def test_nonnegative_for_physical_spectra(self, grid129):
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            params = draw_cavity(rng)
-            sym = q.cavity_spectra(params, grid129)
-            susc = q.cavity_susceptibilities(params, grid129)
-            margin = q.positivity_margin(sym.s_ff, susc.chi_ff)
-            assert np.all(margin >= -1e-12 * np.max(sym.s_ff.values.real))
+        for hbar in HBARS:
+            for _ in range(10):
+                params = draw_cavity(rng, hbar)
+                uns = q.cavity_unsym_spectra(params, grid129)
+                susc = q.cavity_susceptibilities(params, grid129)
+                margin = q.constraint_report(uns, susc).positivity_margin
+                s_ff = q.symmetrize(uns).s_ff.values.real
+                assert np.all(margin >= -1e-12 * np.max(s_ff)), params
 
 
 class TestConstraintReport:
@@ -222,6 +228,18 @@ class TestConstraintReport:
             assert all(v is q.Verdict.quantum_limited for v in report.verdicts)
         with pytest.raises(ValueError, match="units"):
             q.constraint_report(uns, susc, units=q.UnitConvention())
+
+    def test_units_are_required(self, generic_params, grid129):
+        # hbar defaults only on the model records, never in a check
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
+        susc = q.cavity_susceptibilities(generic_params, grid129)
+        with pytest.raises(TypeError):
+            q.kubo_check(uns.s_ff, susc.chi_ff)
+        with pytest.raises(TypeError):
+            q.SusceptibilitySet(grid=grid129, chi_zf=susc.chi_zf,
+                                chi_ff=susc.chi_ff, chi_zz=susc.chi_zz,
+                                chi_fz=susc.chi_fz)
+        assert not hasattr(q, "positivity_margin")
 
     def test_rejects_grid_mismatch_and_vanishing_signal(self, grid129):
         params = q.CavityParams(gamma=2.0, delta=0.0, gbar=1.0, theta=0.0)

@@ -12,14 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import draw_cavity
+from conftest import HBARS, draw_cavity
 from qdetnoise import netsolve
 
 HBAR = 1.0
 
 
 def _random_stable_network(rng: np.random.Generator, n_modes: int = 2,
-                           n_lines: int = 2) -> q.LinearNetwork:
+                           n_lines: int = 2,
+                           units: q.UnitConvention = q.UnitConvention()
+                           ) -> q.LinearNetwork:
     """Generic (not passive) stable network with mode-quadrature observables."""
     a = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
     a -= (np.max(a.real.diagonal()) + 1.0 + np.max(np.abs(a))) * np.eye(n_modes)
@@ -31,7 +33,8 @@ def _random_stable_network(rng: np.random.Generator, n_modes: int = 2,
     readout = q.Observable(mode_quad=np.zeros(2 * n_modes),
                            output_quad=rng.normal(size=2 * n_lines))
     return q.LinearNetwork(drift=a, input_coupling=b, output_coupling=c,
-                           feedthrough=d, force=force, readout=readout)
+                           feedthrough=d, force=force, readout=readout,
+                           units=units)
 
 
 def _near_exceptional_network(n_modes: int, t: float,
@@ -109,6 +112,25 @@ def _exact_gramian(net: q.LinearNetwork) -> np.ndarray:
         vec_m = mpmath.lu_solve(lhs, [-bb[i, j] for j in range(n) for i in range(n)])
         return np.array([[complex(vec_m[i + j * n]) for j in range(n)]
                          for i in range(n)])
+
+
+def _exact_rows(net: q.LinearNetwork, grid: q.FrequencyGrid) -> np.ndarray:
+    """Reference transfer rows (alpha_O + C^T mu_O)^T (-i omega - A)^{-1} B,
+    solved with 50 significant digits: shape (2, points, lines), readout
+    first, as ``netsolve._observable_rows`` returns them."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix(net.drift.tolist())
+        b = mpmath.matrix(net.input_coupling.tolist())
+        c_t = mpmath.matrix(net.output_coupling.T.tolist())
+        eye = mpmath.eye(net.n_modes)
+        rows = []
+        for obs in (net.readout, net.force):
+            row = (mpmath.matrix(obs.alpha.tolist())
+                   + c_t * mpmath.matrix(obs.mu.tolist())).T
+            rows.append([row * mpmath.inverse(mpmath.mpc(0, -w) * eye - a) * b
+                         for w in grid.points])
+        return np.array([[[complex(x) for x in r] for r in per_point]
+                         for per_point in rows])
 
 
 def _relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -343,6 +365,32 @@ class TestGramianPaths:
             q.solve_susceptibilities(net, grid129)
 
 
+class TestResolventReference:
+    """Both resolvent paths against a 50-digit solve, point by point.
+
+    The error at each frequency is taken relative to that frequency's row,
+    not to the column's peak: a check at one frequency sees only that row.
+    """
+
+    @pytest.mark.parametrize("path", ["eigen", "fallback"])
+    @pytest.mark.parametrize("kind", ["passive", "generic"])
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_transfer_rows(self, n_modes, kind, path, monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(netsolve, "_MAX_MODE_COND", -1.0)
+        rng = np.random.default_rng(30 + n_modes)
+        net = (_passive_test_network(n_modes, rng, q.InputState.vacuum())
+               if kind == "passive" else _random_stable_network(rng, n_modes))
+        assert np.linalg.cond(np.linalg.eig(net.drift)[1]) <= 100.0
+        assert (net._modes[1] is None) == (path == "fallback")
+        grid = q.make_symmetric_grid(5.0, 4)
+        got = np.array(netsolve._observable_rows(net, net.input_coupling, grid))
+        ref = _exact_rows(net, grid)
+        error = (np.max(np.abs(got - ref), axis=2)
+                 / np.linalg.norm(ref, axis=2))
+        assert np.max(error) <= 1e-12
+
+
 class TestBlocks:
     """The engine walks the grid in blocks; no output may depend on them."""
 
@@ -394,7 +442,7 @@ class TestBlocks:
         # the pair moment enters S_ff(omega) and S_ff(-omega) alike only when
         # each point meets its own mirror, and the Kubo residual needs that
         chi_ff = q.solve_susceptibilities(net, grid).chi_ff
-        residual = q.kubo_check(got.s_ff, chi_ff).values
+        residual = q.kubo_check(got.s_ff, chi_ff, net.units).values
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(chi_ff.values.imag))
 
     def test_fallback_memory_does_not_grow_with_modes(self, monkeypatch):
@@ -591,12 +639,14 @@ class TestSymmetrize:
 
 class TestKubo:
     def test_cavity_residual_vanishes(self, generic_params, grid129):
-        net = q.build_one_sided_cavity(generic_params)
-        susc = q.solve_susceptibilities(net, grid129)
-        uns = q.solve_unsym_spectra(net, grid129)
-        residual = q.kubo_check(uns.s_ff, susc.chi_ff)
-        scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
-        assert np.max(np.abs(residual.values)) <= 1e-12 * scale
+        for hbar in HBARS:
+            net = q.build_one_sided_cavity(dataclasses.replace(
+                generic_params, units=q.UnitConvention(hbar)))
+            susc = q.solve_susceptibilities(net, grid129)
+            uns = q.solve_unsym_spectra(net, grid129)
+            residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units)
+            scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
+            assert np.max(np.abs(residual.values)) <= 1e-12 * scale, hbar
 
     @pytest.mark.parametrize("state", [q.InputState.thermal(1.7),
                                        q.InputState.squeezed(0.6)])
@@ -604,25 +654,26 @@ class TestKubo:
         net = q.build_one_sided_cavity(generic_params, input_state=state)
         susc = q.solve_susceptibilities(net, grid129)
         uns = q.solve_unsym_spectra(net, grid129)
-        residual = q.kubo_check(uns.s_ff, susc.chi_ff)
+        residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units)
         scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
         assert np.max(np.abs(residual.values)) <= 1e-11 * scale
 
     def test_random_two_mode_network(self):
-        rng = np.random.default_rng(42)
-        net = _random_stable_network(rng)
         grid = q.make_symmetric_grid(5.0, 32)
-        susc = q.solve_susceptibilities(net, grid)
-        uns = q.solve_unsym_spectra(net, grid)
-        residual = q.kubo_check(uns.s_ff, susc.chi_ff)
-        scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
-        assert np.max(np.abs(residual.values)) <= 1e-10 * scale
+        for hbar in HBARS:
+            net = _random_stable_network(np.random.default_rng(42),
+                                         units=q.UnitConvention(hbar))
+            susc = q.solve_susceptibilities(net, grid)
+            uns = q.solve_unsym_spectra(net, grid)
+            residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units)
+            scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
+            assert np.max(np.abs(residual.values)) <= 1e-10 * scale, hbar
 
     def test_mismatched_response_is_caught(self, generic_params, grid129):
         net = q.build_one_sided_cavity(generic_params)
         susc = q.solve_susceptibilities(net, grid129)
         uns = q.solve_unsym_spectra(net, grid129)
         wrong = q.ComplexSpectrum(grid129, 2.0 * susc.chi_ff.values)
-        residual = q.kubo_check(uns.s_ff, wrong)
+        residual = q.kubo_check(uns.s_ff, wrong, susc.units)
         scale = np.max(np.abs(susc.chi_ff.values.imag))
         assert np.max(np.abs(residual.values)) > 0.5 * scale

@@ -112,7 +112,7 @@ def test_public_names_are_pinned():
         "make_symmetric_grid", "mimo_quantum_limit",
         "modified_mech_susceptibility", "normalize", "optimal_angle",
         "parse_config", "parse_input_state", "passive_network",
-        "positivity_margin", "qubit_rates", "response_denominator",
+        "qubit_rates", "response_denominator",
         "sideband_asymmetry", "solve_susceptibilities",
         "solve_unsym_spectra", "symmetrize", "thermal_force_spectrum",
     ]
