@@ -8,8 +8,8 @@ readout and mechanical position sensing.
 
 Layer map:
 
-* :mod:`qdetnoise.core`        units, grids, spectra containers, parameter sets
-* :mod:`qdetnoise.cavity`      closed-form cavity detector
+* :mod:`qdetnoise.core`        units, grids, sampled spectra, parameter sets
+* :mod:`qdetnoise.cavity`      closed-form cavity detector, spectra sets
 * :mod:`qdetnoise.netsolve`    state-space engine for arbitrary linear networks
 * :mod:`qdetnoise.constraints` quantum-limit checks, SISO and MIMO
 * :mod:`qdetnoise.apps`        qubit readout and sideband thermometry

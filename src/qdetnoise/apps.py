@@ -220,10 +220,8 @@ def _total_and_floor(
     """Measurement-referred output spectrum and the imprecision floor in it.
 
     total = floor + 2 Re[chi_q^* cross] + |chi_q|^2 (back-action + thermal
-    force noise), with chi_q the dressed mechanical response.  Raises
-    :class:`OpticalSpringInstabilityError` if a coupled mode fails to decay.
+    force noise), chi_q the dressed response; the caller checks stability.
     """
-    _require_stable(params, osc)
     susc = cavity_susceptibilities(params, grid)
     norm = normalize(cavity_spectra(params, grid), susc)
     chi_q = modified_mech_susceptibility(osc, susc.chi_ff)
@@ -264,6 +262,9 @@ def sideband_asymmetry(
         )
     red = replace(params_template, delta=-omega_m)
     blue = replace(params_template, delta=+omega_m)
+    # before the coverage check, which reads the cavity's hbar
+    for p in (red, blue):
+        _require_stable(p, osc)
 
     span = 0.0
     at_omega_m = FrequencyGrid(np.array([omega_m]))

@@ -190,12 +190,12 @@ def cavity_unsym_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSe
     )
 
 
-def _require_signal(grid: FrequencyGrid, chi_zf: np.ndarray) -> None:
-    """Raise SingularNormalizationError where the signal response vanishes."""
-    bad = np.abs(chi_zf) < 1e-300
-    if np.any(bad):
+def _require_signal(grid: FrequencyGrid, no_signal: np.ndarray) -> None:
+    """Raise SingularNormalizationError at the first frequency flagged in
+    ``no_signal``, where the signal response vanishes."""
+    if np.any(no_signal):
         raise SingularNormalizationError(
-            f"chi_zf vanishes at omega = {grid.points[bad][0]:.6g}; "
+            f"chi_zf vanishes at omega = {grid.points[no_signal][0]:.6g}; "
             "the readout carries no signal there")
 
 
@@ -209,7 +209,7 @@ def normalize(spectra: SpectraSet, susc: SusceptibilitySet) -> NormalizedSpectra
     if spectra.grid != susc.grid:
         raise ValueError("spectra and susceptibilities live on different grids")
     chi = susc.chi_zf.values
-    _require_signal(spectra.grid, chi)
+    _require_signal(spectra.grid, np.abs(chi) < 1e-300)
     return NormalizedSpectra(
         grid=spectra.grid,
         imprecision=ComplexSpectrum(spectra.grid,

@@ -28,9 +28,7 @@ positive red sideband weight for an occupied oscillator, unstable spring).
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -39,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._format import WIDTH, format_e16
+from ._format import format_e16
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .constraints import (
@@ -164,8 +162,7 @@ def parse_input_state(spec: str) -> InputState:
         if len(parts) != 2:
             raise ValueError(
                 f"squeezed state spec needs exactly r,phi, got {spec!r}")
-        r, phi = float(parts[0]), float(parts[1])
-        return InputState.squeezed(cmath.rect(r, phi))
+        return InputState(0.0, float(parts[0]), float(parts[1]))
     raise ValueError(f"unrecognized input state spec {spec!r}")
 
 
@@ -226,13 +223,14 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     the finite configuration it came from has overflowed; a scalar may be
     infinite (the ratio of a ground-state oscillator).  Every check and
     conversion runs before the file is opened, so an error leaves no file
-    behind; what runs after is numpy arithmetic on finished float arrays.
-    CSV rows are formatted and written ``_CHUNK_ROWS`` at a time by
+    behind.  Both formats then stream block by block into the open file,
+    from encoders that cannot fail on the finite floats, strings and config
+    values they are given: CSV rows ``_CHUNK_ROWS`` at a time, formatted by
     :func:`._format.format_e16`, which hands cells within 1e-6 of a
-    rounding tie to Python's ``%``; the scalars are formatted once, as a
-    suffix shared by every row.
-    JSON columns go through json's C encoder and are re-indented to the
-    layout of ``indent=2``.
+    rounding tie to Python's ``%``, with the scalars formatted once as a
+    suffix shared by every row; JSON one top-level key at a time, each
+    column through json's C encoder and re-indented to the layout of
+    ``indent=2``.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
     cells = {name: (list(map(_VERDICT_TEXT.__getitem__, col)) if name == "verdict"
@@ -257,58 +255,47 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
 
 def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
                 scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
-    """The CSV header, then the rows, formatted lazily ``_CHUNK_ROWS`` at a time.
+    """The CSV header, then the rows, formatted ``_CHUNK_ROWS`` at a time.
 
-    Each row is laid out in a fixed-width uint8 template: every cell in a
-    field wide enough for any value of its column, commas between, and the
-    scalars and newline at the end; the zero bytes that pad short cells
-    are dropped by one mask per block.
+    A block of rows is one uint8 array: each column's zero-padded field (a
+    float column's from one :func:`._format.format_e16` call over the block,
+    a verdict column's label bytes) and a comma column, side by side, then
+    the scalars and newline; one mask drops the zero bytes that pad short
+    cells.
     """
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
-    fields = []
-    for name, col in cells.items():
-        if name == "verdict":
-            labels = np.array(col, dtype="S")
-            col = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
-        fields.append(col)
-    n_rows = len(fields[0]) if fields else 1
-    numbers = [i for i, field in enumerate(fields) if field.ndim == 1]
-    widths = [WIDTH if field.ndim == 1 else field.shape[1] for field in fields]
-    starts = list(itertools.accumulate((w + 1 for w in widths), initial=0))
+    yield head.encode("ascii")
     suffix = ",".join("%.16e" % value for value in scalars.values()) + "\n"
-    if fields and scalars:
+    if cells and scalars:
         suffix = "," + suffix
-    tail = starts[-1] - 1 if fields else 0
-    template = np.zeros(tail + len(suffix), dtype=np.uint8)
-    template[[start - 1 for start in starts[1:-1]]] = ord(",")
-    template[tail:] = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
-
-    def block(first: int) -> np.ndarray:
+    suffix = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
+    floats = [col for name, col in cells.items() if name != "verdict"]
+    if "verdict" in cells:
+        labels = np.array(cells["verdict"], dtype="S")
+        labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+    n_rows = len(next(iter(cells.values()))) if cells else 1
+    for first in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(first, first + _CHUNK_ROWS)
-        out = np.tile(template, (min(_CHUNK_ROWS, n_rows - first), 1))
-        if numbers:
-            text = format_e16(np.stack([fields[i][rows] for i in numbers], axis=1))
-            for k, i in enumerate(numbers):
-                out[:, starts[i]:starts[i] + WIDTH] = text[:, k]
-        for i, field in enumerate(fields):
-            if field.ndim == 2:
-                out[:, starts[i]:starts[i] + widths[i]] = field[rows]
-        return out[out != 0]
-
-    return itertools.chain([head.encode("ascii")],
-                           map(block, range(0, n_rows, _CHUNK_ROWS)))
+        n = min(_CHUNK_ROWS, n_rows - first)
+        text = iter(format_e16(np.array([col[rows] for col in floats])))
+        comma = np.full((n, 1), ord(","), dtype=np.uint8)
+        parts = []
+        for name in cells:
+            parts += [labels[rows] if name == "verdict" else next(text), comma]
+        out = np.concatenate(
+            [*parts[:-1], np.broadcast_to(suffix, (n, suffix.size))], axis=1)
+        yield out[out != 0]
 
 
-def _json_chunks(doc: dict) -> list[bytes]:
+def _json_chunks(doc: dict) -> Iterator[bytes]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, as bytes
-    in one piece per top-level key.
+    yielded one top-level key at a time.
 
     A non-empty column goes through json's C encoder, which writes floats
     by ``float.__repr__`` as the indenting encoder does; its ``", "``
     separators become the indented line breaks, since no float repr or
     verdict holds one.
     """
-    chunks = []
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
         if isinstance(value, np.ndarray):
@@ -319,9 +306,8 @@ def _json_chunks(doc: dict) -> list[bytes]:
         else:
             body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         opening = ",\n" if i else "{\n"
-        chunks.append(f"{opening}  {json.dumps(key)}: {body}".encode("ascii"))
-    chunks.append(b"\n}\n")
-    return chunks
+        yield f"{opening}  {json.dumps(key)}: {body}".encode("ascii")
+    yield b"\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +417,9 @@ def cmd_mech(cfg: RunConfig) -> int:
 
 
 def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    text = path.read_text(encoding="utf-8")
-    lines = [line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith(("#", "omega"))]
+    with path.open(encoding="utf-8") as fh:
+        lines = [line for line in map(str.strip, fh)
+                 if line and not line.startswith(("#", "omega"))]
     if not lines:
         raise ValueError(f"no data rows in MIMO input {path}")
     commas = lines[0].count(",")

@@ -215,8 +215,9 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     physics) or when the gap is not finite.
 
     hbar is ``susc.units``, the model's own; a ``units`` that differs from
-    it raises ValueError. Raises SingularNormalizationError where chi_zf
-    vanishes, since the two equalities are referred to the signal.
+    it raises ValueError. Raises SingularNormalizationError where the
+    readout carries no signal, (hbar^2/4)|chi_zf|^2 <= eps * scale, since the
+    two equalities are referred to the signal and round-off is not one.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
@@ -229,7 +230,10 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     _require_valid_detector(susc)
     sym = symmetrize(spectra_unsym)
     d0, im_term, scale = _gap_terms(sym, susc, units.hbar)
-    _require_signal(susc.grid, susc.chi_zf.values)
+    # as amplitudes, since a floor whose square underflows is out of range
+    floor = 0.5 * units.hbar * np.abs(susc.chi_zf.values)
+    _require_signal(susc.grid, np.isfinite(scale)
+                    & (floor <= np.sqrt(np.finfo(float).eps * scale)))
     signal = np.abs(susc.chi_zf.values) ** 2
     gap = d0 - np.abs(im_term)
     return ConstraintReport(

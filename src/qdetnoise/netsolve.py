@@ -30,9 +30,10 @@ network, A = V diag(lambda) V^{-1}, so that
     R(omega) = V diag(1 / (-i omega - lambda)) V^{-1}
 
 and a transfer row is a (points x modes) matrix product. Near an
-exceptional point the eigenvectors lose about cond(V) * 1e-16 of relative
-accuracy, so the eigen path is taken only for cond(V) <= 1e6; otherwise,
-and for defective drifts, R is solved at every grid point in batches. Both
+exceptional point the audit's gap error, judged against each frequency's
+own scale, grows as about cond(V) * 2e-14, so the eigen path is taken
+only for cond(V) <= 40; otherwise, and for defective drifts, R is solved
+at every grid point in batches, where it is 1-2e-15. Both
 routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
 lambda), for the batched solve's n x n systems and for the spectra's
@@ -61,8 +62,9 @@ from .errors import GridMismatchError, StabilityError
 
 _SQRT2 = np.sqrt(2.0)
 # Largest eigenvector condition number for which the resolvent is formed
-# from the drift's eigen-decomposition; its error grows as cond(V) * 1e-16.
-_MAX_MODE_COND = 1e6
+# from the drift's eigen-decomposition: on a 2-mode detector near an
+# exceptional point, the gap's error first exceeds 1e-12 of its scale at 47.
+_MAX_MODE_COND = 40.0
 # Bytes of per-point complex temporaries the engine forms at a time: the
 # resolvent and the spectra form walk the grid in blocks of this size, so
 # their working memory does not grow with the grid.

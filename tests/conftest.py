@@ -26,6 +26,24 @@ def draw_cavity(rng: np.random.Generator, hbar: float = 1.0) -> q.CavityParams:
                           units=q.UnitConvention(hbar))
 
 
+def exceptional_pair(eps: float, theta: float,
+                     state: q.InputState = q.InputState.vacuum()
+                     ) -> q.LinearNetwork:
+    """Two modes hopping at J = (1 + eps)/4, one line on mode 1 at rate 1.
+
+    The exceptional point is at eps = 0; cond(V) is about 1.4 / sqrt(eps).
+    The force is X of mode 2 and the readout the output quadrature at
+    theta, which at theta = pi/2 carries no signal of the force.
+    """
+    hop = (1.0 + eps) / 4.0
+    return q.passive_network(
+        [[0.0, hop], [hop, 0.0]], [[1.0, 0.0]],
+        force=q.Observable(mode_quad=[0.0, 0.0, 1.0, 0.0], output_quad=[0.0, 0.0]),
+        readout=q.Observable(mode_quad=np.zeros(4),
+                             output_quad=[np.cos(theta), np.sin(theta)]),
+        input_state=state)
+
+
 @pytest.fixture
 def canonical_params() -> q.CavityParams:
     """The worked reference point: gamma=2, delta=0, gbar=1, theta=pi/2."""
@@ -59,3 +77,18 @@ def referred_residuals(spectra_unsym: q.SpectraSet, susc: q.SusceptibilitySet
     r1 = s_zz * s_ff - np.abs(s_zf) ** 2 - 0.25 * hbar ** 2
     r2 = s_zf.imag + susc.chi_ff.values.imag * s_zz
     return r1, r2
+
+
+def gap_scale(spectra_unsym: q.SpectraSet, susc: q.SusceptibilitySet
+              ) -> np.ndarray:
+    """The uncertainty gap's scale at each frequency, the largest of its
+    four terms: S_zz S_ff, |S_zf|^2, (hbar^2/4)|chi_zf|^2 and
+    hbar |Im[S_zf^* chi_zf - chi_ff S_zz]| (symmetrized spectra)."""
+    hbar = susc.units.hbar
+    sym = q.symmetrize(spectra_unsym)
+    chi_zf, chi_ff = susc.chi_zf.values, susc.chi_ff.values
+    s_zz, s_ff, s_zf = sym.s_zz.values.real, sym.s_ff.values.real, sym.s_zf.values
+    im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
+    return np.maximum.reduce([s_zz * s_ff, np.abs(s_zf) ** 2,
+                              0.25 * hbar ** 2 * np.abs(chi_zf) ** 2,
+                              np.abs(im_term)])

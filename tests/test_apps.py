@@ -232,6 +232,13 @@ class TestTotalOutputSpectrum:
             q.closed_loop_poles(params, osc)
         with pytest.raises(ValueError, match=message):
             q.asymmetry_grid(params, osc)
+        # a window the cavity's hbar alone would call too narrow: the units
+        # are checked before the coverage
+        params = q.CavityParams(0.01, -1.0, 0.05, 0.3, units=q.UnitConvention(2.0))
+        osc = q.MechOscillator(1.0, 1e-3, n_occupation=1.0)
+        grid = q.FrequencyGrid(np.linspace(0.9, 1.1, 201))
+        with pytest.raises(ValueError, match=message):
+            q.sideband_asymmetry(params, osc, grid)
 
     def test_motional_peak_stands_on_the_floor(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)

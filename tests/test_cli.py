@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,9 +116,17 @@ class TestParseInputState:
         expect = q.InputState.squeezed(0.5 * np.exp(1.2j))
         assert state.moments() == pytest.approx(expect.moments())
 
+    @pytest.mark.parametrize("spec, r, phi", [
+        ("squeezed:0.7,0.3", 0.7, 0.3), ("squeezed:0,1.0", 0.0, 1.0),
+        ("squeezed:0.5,-2.84", 0.5, -2.84)])
+    def test_squeezed_stores_r_and_phi(self, spec, r, phi):
+        # no detour through r e^{i phi}, which moved r by an ulp and lost
+        # phi at r = 0
+        assert parse_input_state(spec) == q.InputState(0.0, r, phi)
+
     @pytest.mark.parametrize("bad", [
         "coherent", "thermal", "thermal:x", "squeezed:0.5", "squeezed:1,2,3",
-        "thermal:inf", "thermal:nan", "squeezed:nan,0"])
+        "thermal:inf", "thermal:nan", "squeezed:nan,0", "squeezed:-0.5,0.3"])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             parse_input_state(bad)
@@ -810,6 +819,24 @@ class TestWriter:
         cells = np.array(cells)
         self.written(tmp_path_factory.mktemp("w") / f"h.{fmt}", fmt,
                      {"x": cells, "y": -cells[::-1]}, {"first": float(cells[0])})
+
+
+def test_json_is_streamed_a_key_at_a_time(tmp_path):
+    # each column is encoded, written and dropped before the next, so
+    # twelve columns peak near one: 1.4 times its traced peak, against
+    # 3.2 times when every encoded column was held to the end
+    rng = np.random.default_rng(7)
+    columns = {f"c{i}": rng.standard_normal(4097) for i in range(12)}
+    cfg = RunConfig("spectra", fmt="json", out=str(tmp_path / "t.json"))
+    peaks = []
+    for table in (columns, {"c0": columns["c0"]}):
+        tracemalloc.start()
+        try:
+            cli._write(cfg, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2.0 * peaks[1], peaks
 
 
 class TestEntryPoint:

@@ -8,7 +8,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import HBARS, draw_cavity, referred_residuals
+from conftest import (HBARS, draw_cavity, exceptional_pair, gap_scale,
+                      referred_residuals)
 
 HBAR = 1.0
 
@@ -134,13 +135,7 @@ class TestWideRange:
                     else q.Verdict.quantum_limited)
         assert all(v is expected for v in report.verdicts)
 
-        sym = q.symmetrize(uns)
-        chi_zf, chi_ff = susc.chi_zf.values, susc.chi_ff.values
-        s_zz, s_ff, s_zf = sym.s_zz.values.real, sym.s_ff.values.real, sym.s_zf.values
-        im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
-        scale = np.maximum.reduce([s_zz * s_ff, np.abs(s_zf) ** 2,
-                                   0.25 * hbar ** 2 * np.abs(chi_zf) ** 2,
-                                   np.abs(im_term)]) / np.abs(chi_zf) ** 2
+        scale = gap_scale(uns, susc) / np.abs(susc.chi_zf.values) ** 2
         r1, r2 = referred_residuals(uns, susc)
         # r1 carries hbar^2 and r2 hbar, as gap = |chi_zf|^2 (r1 - hbar |r2|)
         assert np.all(np.abs(report.product_residual - r1) <= 1e-12 * scale)
@@ -251,6 +246,20 @@ class TestConstraintReport:
                            match="chi_zf vanishes at omega = -4;"):
             q.constraint_report(uns, q.cavity_susceptibilities(params, grid129))
 
+    @pytest.mark.parametrize("eps, eigen", [(1e-2, True), (1e-4, False)])
+    def test_round_off_in_chi_zf_is_no_signal(self, eps, eigen):
+        # the readout at theta = pi/2 misses the force mode: chi_zf is exact
+        # zeros on the batched path and round-off (up to 1.2e-14) on the eigen
+        # path, where r1 reached 5.7e13 while every verdict read a pass
+        net = exceptional_pair(eps, np.pi / 2)
+        assert (net._modes[1] is not None) == eigen
+        grid = q.make_symmetric_grid(2.0, 200)
+        spectra = q.solve_unsym_spectra(net, grid)
+        susc = q.solve_susceptibilities(net, grid)
+        with pytest.raises(q.SingularNormalizationError,
+                           match="chi_zf vanishes at omega = -2;"):
+            q.constraint_report(spectra, susc)
+
     def test_doctored_spectra_flag_violation(self, generic_params, grid129):
         uns = q.cavity_unsym_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, grid129)
@@ -259,16 +268,20 @@ class TestConstraintReport:
                                 s_ff=uns.s_ff, symmetrized=False)
         report = q.constraint_report(doctored, susc)
         assert report.worst_verdict is q.Verdict.violation
-        # a NaN gap fails every comparison and must not read as a pass
+        # a NaN gap fails every comparison and must not read as a pass; an
+        # infinite one has an infinite scale, beside which any signal is small
         i = 40
-        s_ff = uns.s_ff.values.copy()
-        s_ff[i] = np.nan
-        doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=uns.s_zf,
-                                s_ff=q.ComplexSpectrum(grid129, s_ff),
-                                symmetrized=False)
-        report = q.constraint_report(doctored, susc)
-        assert report.verdicts[i] is q.Verdict.violation
-        assert report.worst_verdict is q.Verdict.violation
+        for bad in (np.nan, np.inf):
+            s_ff = uns.s_ff.values.copy()
+            s_ff[i] = bad
+            doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=uns.s_zf,
+                                    s_ff=q.ComplexSpectrum(grid129, s_ff),
+                                    symmetrized=False)
+            # halving the complex inf in symmetrize multiplies 0 * inf
+            with np.errstate(invalid="ignore"):
+                report = q.constraint_report(doctored, susc)
+            assert report.verdicts[i] is q.Verdict.violation
+            assert report.worst_verdict is q.Verdict.violation
 
     def test_rejects_symmetrized_input(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)

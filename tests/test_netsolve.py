@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from conftest import HBARS, draw_cavity
+from conftest import HBARS, draw_cavity, exceptional_pair, gap_scale
 from qdetnoise import netsolve
 
 HBAR = 1.0
@@ -288,6 +288,24 @@ class TestResolventPaths:
             deviation = _deviation_from_batched_solve(net, grid129, monkeypatch)
             assert deviation <= 1e-9, t
         assert paths == {False, True}  # both sides of the cond(V) threshold
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_exceptional_pair_is_quantum_limited(self, theta):
+        # the audit judges each frequency against its own scale, far below
+        # the column's peak: up to cond(V) = 1.4e5 the eigen path read
+        # 2e-9 of it for vacuum, and a squeezed line 3.4 times that
+        grid = q.make_symmetric_grid(2.0, 200)
+        for eps in 10.0 ** -np.arange(2, 14):
+            for state in (q.InputState.vacuum(), q.InputState(0.0, 1.0, 0.3)):
+                net = exceptional_pair(eps, theta, state)
+                spectra = q.solve_unsym_spectra(net, grid)
+                susc = q.solve_susceptibilities(net, grid)
+                report = q.constraint_report(spectra, susc)
+                assert all(v is q.Verdict.quantum_limited
+                           for v in report.verdicts), (eps, state)
+                if state.kind == "vacuum":
+                    assert (np.max(np.abs(report.uncertainty_gap)
+                                   / gap_scale(spectra, susc)) <= 1e-12), eps
 
     def test_repeated_eigenvalues(self, grid129, monkeypatch):
         # two identical uncoupled modes: a degenerate but diagonalisable drift

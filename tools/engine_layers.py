@@ -8,7 +8,9 @@ thermal input, in the same way as the lib-network workload, and runs
 ``solve_susceptibilities`` and then ``solve_unsym_spectra`` on a symmetric
 grid. The ``fallback`` path raises the network's resolvent to the batched
 solve by setting ``netsolve._MAX_MODE_COND`` below 1, so every drift counts
-as ill-conditioned. Times are the best of three untraced runs.
+as ill-conditioned. ``cond_v`` is the drift's eigenvector condition
+number, which the eigen path is bounded by (``netsolve._MAX_MODE_COND``),
+computed before the timed runs. Times are the best of three untraced runs.
 ``peak_mb`` is the tracemalloc peak of one more run of both solvers, with
 both results held to the end. The network and grid are built, and the drift
 diagonalised, before any of it. The package is imported from the ``src``
@@ -45,6 +47,7 @@ def network(q, n_modes: int, rng: np.random.Generator):
 def measure(q, n_modes: int, points: int) -> dict:
     net = network(q, n_modes, np.random.default_rng(n_modes))
     net._modes  # the eigen-decomposition is per network, not per solve
+    cond_v = np.linalg.cond(np.linalg.eig(net.drift)[1])
     grid = q.make_symmetric_grid(5.0, points // 2)
     times = {"susceptibilities_s": [], "spectra_s": []}
     for _ in range(3):
@@ -60,7 +63,7 @@ def measure(q, n_modes: int, points: int) -> dict:
     tracemalloc.stop()
     del results
     return {name: min(values) for name, values in times.items()} | {
-        "peak_mb": peak / 1e6}
+        "peak_mb": peak / 1e6, "cond_v": cond_v}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,15 +79,16 @@ def main(argv: list[str] | None = None) -> int:
     import qdetnoise as q
     from qdetnoise import netsolve
 
-    print("| path | modes | points | susceptibilities_s | spectra_s | peak_mb |")
-    print("|---|---|---|---|---|---|")
+    print("| path | modes | points | cond_v | susceptibilities_s | spectra_s "
+          "| peak_mb |")
+    print("|---|---|---|---|---|---|---|")
     default_cond = netsolve._MAX_MODE_COND
     for path in args.paths:
         netsolve._MAX_MODE_COND = default_cond if path == "eigen" else -1.0
         for n_modes in args.modes:
             for points in args.points:
                 row = measure(q, n_modes, points)
-                print(f"| {path} | {n_modes} | {points} | "
+                print(f"| {path} | {n_modes} | {points} | {row['cond_v']:.3g} | "
                       f"{row['susceptibilities_s']:.4g} | {row['spectra_s']:.4g} | "
                       f"{row['peak_mb']:.1f} |", flush=True)
     return 0
