@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._format import format_e16
+from ._format import format_e16, format_repr
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .constraints import (
@@ -58,7 +58,9 @@ from .netsolve import (
 __all__ = ["RunConfig", "parse_config", "parse_input_state", "build_parser", "main"]
 
 _FORMATS = ("csv", "json")
-_CHUNK_ROWS = 4096  # CSV rows formatted and written at a time
+_CHUNK_ROWS = 4096  # table rows formatted and written at a time
+_JSON_INDENT = np.frombuffer(b"    ", dtype=np.uint8)
+_JSON_COMMA = np.frombuffer(b",\n", dtype=np.uint8)
 
 # Columns that are spectral densities and therefore double in the
 # single-sided convention; responses and the frequency axis do not.
@@ -225,12 +227,12 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     conversion runs before the file is opened, so an error leaves no file
     behind.  Both formats then stream block by block into the open file,
     from encoders that cannot fail on the finite floats, strings and config
-    values they are given: CSV rows ``_CHUNK_ROWS`` at a time, formatted by
-    :func:`._format.format_e16`, which hands cells within 1e-6 of a
-    rounding tie to Python's ``%``, with the scalars formatted once as a
-    suffix shared by every row; JSON one top-level key at a time, each
-    column through json's C encoder and re-indented to the layout of
-    ``indent=2``.
+    values they are given.  Float cells are formatted ``_CHUNK_ROWS`` rows
+    at a time by :mod:`._format`, which hands the rare cells it cannot
+    decide (within 1e-6 of a rounding tie or an edge, or subnormal) to
+    Python: CSV rows by :func:`._format.format_e16`, with the scalars
+    formatted once as a suffix shared by every row; JSON one top-level key
+    at a time, a float column by :func:`._format.format_repr`.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
     cells = {name: (list(map(_VERDICT_TEXT.__getitem__, col)) if name == "verdict"
@@ -287,26 +289,37 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
         yield out[out != 0]
 
 
-def _json_chunks(doc: dict) -> Iterator[bytes]:
+def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, as bytes
     yielded one top-level key at a time.
 
-    A non-empty column goes through json's C encoder, which writes floats
-    by ``float.__repr__`` as the indenting encoder does; its ``", "``
-    separators become the indented line breaks, since no float repr or
-    verdict holds one.
+    A non-empty float column is written as ``"    <repr>,\\n"`` rows,
+    ``_CHUNK_ROWS`` at a time: :func:`._format.format_repr` gives each cell's
+    ``float.__repr__`` bytes, as json writes floats, and one mask drops the
+    zero bytes around them.  A verdict column goes through json's C encoder,
+    whose ``", "`` separators become the indented line breaks, since no
+    verdict holds one; every other value is ``json.dumps`` re-indented.
     """
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
+        head = f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        if isinstance(value, np.ndarray) and value.size:
+            yield f"{head}[\n".encode("ascii")
+            for first in range(0, value.size, _CHUNK_ROWS):
+                text = format_repr(value[first:first + _CHUNK_ROWS])
+                rows = np.concatenate([np.broadcast_to(_JSON_INDENT, (len(text), 4)), text,
+                                       np.broadcast_to(_JSON_COMMA, (len(text), 2))], axis=1)
+                rows = rows[rows != 0]
+                yield rows if first + _CHUNK_ROWS < value.size else rows[:-2]
+            yield b"\n  ]"
+            continue
         if isinstance(value, list) and value:
             body = json.dumps(value)[1:-1].replace(", ", ",\n    ")
             body = f"[\n    {body}\n  ]"
         else:
+            value = value.tolist() if isinstance(value, np.ndarray) else value
             body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        opening = ",\n" if i else "{\n"
-        yield f"{opening}  {json.dumps(key)}: {body}".encode("ascii")
+        yield f"{head}{body}".encode("ascii")
     yield b"\n}\n"
 
 

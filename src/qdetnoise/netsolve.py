@@ -404,17 +404,23 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
 def symmetrize(spectra: SpectraSet) -> SpectraSet:
     """Even combination S_AB(omega) -> [S_AB(omega) + S_BA(-omega)] / 2.
 
-    Idempotent: symmetrized input comes back with equal values.
+    Idempotent: symmetrized input comes back with equal values.  The sums
+    are halved part by part as reals: a complex multiply would form 0 * inf
+    from an infinite entry.
     """
     spectra.grid.require_symmetric("symmetrization")
     s_zz = spectra.s_zz.values
     s_ff = spectra.s_ff.values
     s_zf = spectra.s_zf.values
+    s_zz, s_zf, s_ff = s_zz + s_zz[::-1], s_zf + np.conj(s_zf[::-1]), s_ff + s_ff[::-1]
+    for total in (s_zz, s_zf, s_ff):
+        parts = total.view(float)
+        parts *= 0.5
     return SpectraSet(
         grid=spectra.grid,
-        s_zz=ComplexSpectrum(spectra.grid, 0.5 * (s_zz + s_zz[::-1])),
-        s_zf=ComplexSpectrum(spectra.grid, 0.5 * (s_zf + np.conj(s_zf[::-1]))),
-        s_ff=ComplexSpectrum(spectra.grid, 0.5 * (s_ff + s_ff[::-1])),
+        s_zz=ComplexSpectrum(spectra.grid, s_zz),
+        s_zf=ComplexSpectrum(spectra.grid, s_zf),
+        s_ff=ComplexSpectrum(spectra.grid, s_ff),
         symmetrized=True,
     )
 

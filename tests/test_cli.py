@@ -739,7 +739,7 @@ class TestByteContract:
 
 
 def adversarial_floats():
-    """Cells that break a %.16e formatter that is almost right."""
+    """Cells that break a %.16e or shortest-repr formatter that is almost right."""
     cells = [math.nan, math.inf, 0.0, 5e-324, 1.5e-310, 2.2250738585072009e-308,
              2.2250738585072014e-308, 1.7976931348623157e308]
     for k in range(-323, 309):
@@ -749,6 +749,17 @@ def adversarial_floats():
             below = math.nextafter(below, 0.0)
             above = math.nextafter(above, math.inf)
             cells += [below, above]
+    # a power of two has a rounding interval half as wide below as above
+    for k in range(-1074, 1024):
+        power = 2.0**k
+        cells += [math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)]
+    # where repr changes layout (fixed for 1e-4 <= |x| < 1e16), three ulps out
+    for edge in (1e-5, 1e-4, 1e15, 1e16, 1e17):
+        below, above = edge, edge
+        for _ in range(3):
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
+        cells += [below, above]
     near = 1e15 + np.arange(-64.0, 64.0)
     cells += [*(near + 0.25), *(near + 0.75)]  # exact ties of the 17th digit
     return np.array(cells + [-c for c in cells])

@@ -277,9 +277,7 @@ class TestConstraintReport:
             doctored = q.SpectraSet(grid=grid129, s_zz=uns.s_zz, s_zf=uns.s_zf,
                                     s_ff=q.ComplexSpectrum(grid129, s_ff),
                                     symmetrized=False)
-            # halving the complex inf in symmetrize multiplies 0 * inf
-            with np.errstate(invalid="ignore"):
-                report = q.constraint_report(doctored, susc)
+            report = q.constraint_report(doctored, susc)
             assert report.verdicts[i] is q.Verdict.violation
             assert report.worst_verdict is q.Verdict.violation
 
