@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
-from .core import CavityParams, ComplexSpectrum, FrequencyGrid, MechOscillator
+from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, MechOscillator,
+                   _require_count, _require_width)
 from .errors import (
     DegenerateReadoutError,
     GridMismatchError,
@@ -319,10 +320,12 @@ def asymmetry_grid(
     ``halfwidth_linewidths`` times the worst-case effective mechanical
     linewidth (intrinsic plus back-action damping).  The default window of
     forty linewidths keeps the truncated Lorentzian tails below the 1e-4
-    level in the integrated weight.  Cavity and oscillator must share one hbar.
+    level in the integrated weight.  Cavity and oscillator must share one hbar;
+    the half-width must be finite and positive and n_points a whole number
+    >= 2, or ValueError names the argument.
     """
-    if halfwidth_linewidths <= 0.0:
-        raise ValueError("halfwidth_linewidths must be positive")
+    _require_width("halfwidth_linewidths", halfwidth_linewidths)
+    n_points = _require_count("n_points", n_points, 2)
     if params.units != osc.units:
         raise ValueError("cavity and oscillator carry different unit conventions")
     omega_m = osc.omega_m
@@ -330,5 +333,5 @@ def asymmetry_grid(
         params.gamma * osc.mass * omega_m
     )
     half = halfwidth_linewidths * (osc.gamma_m + gamma_opt)
-    points = np.linspace(omega_m - half, omega_m + half, int(n_points))
+    points = np.linspace(omega_m - half, omega_m + half, n_points)
     return FrequencyGrid(points)

@@ -40,12 +40,7 @@ import numpy as np
 from ._format import format_e16, format_repr
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
-from .constraints import (
-    Verdict,
-    classify_verdicts,
-    constraint_report,
-    mimo_quantum_limit,
-)
+from .constraints import Verdict, constraint_report, mimo_quantum_limit
 from .core import CavityParams, InputState, MechOscillator, make_symmetric_grid
 from .errors import GridMismatchError, InvalidMatrixError, QDetNoiseError
 from .netsolve import (
@@ -59,8 +54,6 @@ __all__ = ["RunConfig", "parse_config", "parse_input_state", "build_parser", "ma
 
 _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
-_JSON_INDENT = np.frombuffer(b"    ", dtype=np.uint8)
-_JSON_COMMA = np.frombuffer(b",\n", dtype=np.uint8)
 
 # Columns that are spectral densities and therefore double in the
 # single-sided convention; responses and the frequency axis do not.
@@ -68,8 +61,6 @@ _DENSITY_COLUMNS = frozenset(
     {"s_zz_sym", "s_zf_sym_re", "s_zf_sym_im", "s_ff_sym",
      "imprecision", "cross_re", "cross_im"}
 )
-
-_VERDICT_TEXT = {verdict: verdict.value for verdict in Verdict}
 
 
 def _option(default, help: str, flag: str | None = None, **parser_kwargs):
@@ -219,7 +210,9 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     only is one row); JSON keeps scalars as plain values.  A ``verdict``
     column holds Verdict members, written by value; JSON adds the most
     severe one as ``worst_verdict``.  The bytes are those of ``"%.16e" %``
-    per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.
+    per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.  The
+    verdict column becomes one zero-padded label array (``dtype="S"``), whose
+    rows both formats place as they place a formatted float block.
 
     A non-finite cell in a float column is rejected with ValueError, as
     the finite configuration it came from has overflowed; a scalar may be
@@ -235,11 +228,11 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     at a time, a float column by :func:`._format.format_repr`.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells = {name: (list(map(_VERDICT_TEXT.__getitem__, col)) if name == "verdict"
+    cells = {name: (np.array([v.value for v in col], dtype="S") if name == "verdict"
                     else np.asarray(col, dtype=float))
              for name, col in columns.items()}
     for name, col in cells.items():
-        if name != "verdict" and not np.isfinite(col).all():
+        if col.dtype == float and not np.isfinite(col).all():
             raise ValueError(f"column {name} overflows float64 at row "
                              f"{int(np.argmin(np.isfinite(col)))}: the "
                              "configuration is out of range")
@@ -255,15 +248,19 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
             fh.write(chunk)
 
 
-def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
+def _labels(block: np.ndarray) -> np.ndarray:
+    """The rows of a ``dtype="S"`` array as a uint8 array, zero-padded."""
+    return block.view(np.uint8).reshape(len(block), block.itemsize)
+
+
+def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
                 scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
     """The CSV header, then the rows, formatted ``_CHUNK_ROWS`` at a time.
 
     A block of rows is one uint8 array: each column's zero-padded field (a
     float column's from one :func:`._format.format_e16` call over the block,
-    a verdict column's label bytes) and a comma column, side by side, then
-    the scalars and newline; one mask drops the zero bytes that pad short
-    cells.
+    a label column's bytes) and a comma column, side by side, then the
+    scalars and newline; one mask drops the zero bytes that pad short cells.
     """
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
     yield head.encode("ascii")
@@ -271,10 +268,7 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
     if cells and scalars:
         suffix = "," + suffix
     suffix = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
-    floats = [col for name, col in cells.items() if name != "verdict"]
-    if "verdict" in cells:
-        labels = np.array(cells["verdict"], dtype="S")
-        labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+    floats = [col for col in cells.values() if col.dtype == float]
     n_rows = len(next(iter(cells.values()))) if cells else 1
     for first in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(first, first + _CHUNK_ROWS)
@@ -282,8 +276,8 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray | list[str]],
         text = iter(format_e16(np.array([col[rows] for col in floats])))
         comma = np.full((n, 1), ord(","), dtype=np.uint8)
         parts = []
-        for name in cells:
-            parts += [labels[rows] if name == "verdict" else next(text), comma]
+        for col in cells.values():
+            parts += [next(text) if col.dtype == float else _labels(col[rows]), comma]
         out = np.concatenate(
             [*parts[:-1], np.broadcast_to(suffix, (n, suffix.size))], axis=1)
         yield out[out != 0]
@@ -293,32 +287,32 @@ def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, as bytes
     yielded one top-level key at a time.
 
-    A non-empty float column is written as ``"    <repr>,\\n"`` rows,
-    ``_CHUNK_ROWS`` at a time: :func:`._format.format_repr` gives each cell's
-    ``float.__repr__`` bytes, as json writes floats, and one mask drops the
-    zero bytes around them.  A verdict column goes through json's C encoder,
-    whose ``", "`` separators become the indented line breaks, since no
-    verdict holds one; every other value is ``json.dumps`` re-indented.
+    A non-empty array is written ``_CHUNK_ROWS`` rows at a time, by one
+    concatenation and one mask that drops the zero bytes padding its cells:
+    a float column as ``"    <repr>,\\n"`` rows, from
+    :func:`._format.format_repr`'s ``float.__repr__`` bytes, as json writes
+    floats; a label column as ``"    \\"<label>\\",\\n"`` rows, as no label
+    needs escaping.  Every other value is ``json.dumps`` re-indented.
     """
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
         head = f"{',' if i else '{'}\n  {json.dumps(key)}: "
         if isinstance(value, np.ndarray) and value.size:
+            encode, quote = (format_repr, b"") if value.dtype == float else (_labels, b'"')
+            start = np.frombuffer(b"    " + quote, dtype=np.uint8)
+            end = np.frombuffer(quote + b",\n", dtype=np.uint8)
             yield f"{head}[\n".encode("ascii")
             for first in range(0, value.size, _CHUNK_ROWS):
-                text = format_repr(value[first:first + _CHUNK_ROWS])
-                rows = np.concatenate([np.broadcast_to(_JSON_INDENT, (len(text), 4)), text,
-                                       np.broadcast_to(_JSON_COMMA, (len(text), 2))], axis=1)
+                text = encode(value[first:first + _CHUNK_ROWS])
+                n = len(text)
+                rows = np.concatenate([np.broadcast_to(start, (n, start.size)), text,
+                                       np.broadcast_to(end, (n, end.size))], axis=1)
                 rows = rows[rows != 0]
                 yield rows if first + _CHUNK_ROWS < value.size else rows[:-2]
             yield b"\n  ]"
             continue
-        if isinstance(value, list) and value:
-            body = json.dumps(value)[1:-1].replace(", ", ",\n    ")
-            body = f"[\n    {body}\n  ]"
-        else:
-            value = value.tolist() if isinstance(value, np.ndarray) else value
-            body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         yield f"{head}{body}".encode("ascii")
     yield b"\n}\n"
 
@@ -409,8 +403,6 @@ def cmd_qubit(cfg: RunConfig) -> int:
 def cmd_mech(cfg: RunConfig) -> int:
     params = _cavity_params(cfg)
     osc = _oscillator(cfg)
-    if cfg.window_points < 2:
-        raise ValueError("window_points must be at least 2")
     grid = asymmetry_grid(params, osc,
                           halfwidth_linewidths=cfg.window_halfwidth,
                           n_points=cfg.window_points)
@@ -448,28 +440,14 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{n_cells} cells per row do not form a square even-dimension block")
     data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    # 1j * inf puts 0 * inf = nan in the real part: a non-finite cell, which
-    # mimo_quantum_limit rejects as a violation
-    with np.errstate(invalid="ignore"):
-        blocks = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(len(data), dim, dim)
-    return data[:, 0], blocks
+    return data[:, 0], data[:, 1:].view(complex).reshape(len(data), dim, dim)
 
 
 def cmd_mimo_check(cfg: RunConfig) -> int:
     if cfg.mimo_input is None:
         raise ValueError("mimo-check requires --mimo-input <file>")
     omega, blocks = _read_mimo_blocks(Path(cfg.mimo_input))
-    dets = mimo_quantum_limit(blocks)
-    dim = blocks.shape[1]
-    mean = np.maximum(np.einsum("kii->k", blocks).real / dim, np.finfo(float).tiny)
-    # mimo_quantum_limit has accepted every block as positive semidefinite,
-    # so a negative determinant is round-off and the verdict is two-way; and
-    # det <= mean**dim, so dividing by the mean eigenvalue dim times never
-    # overflows where mean**dim itself would
-    ratio = np.maximum(dets, 0.0)
-    for _ in range(dim):
-        ratio = ratio / mean
-    verdicts = classify_verdicts(ratio, np.full(ratio.shape, 1e-9))
+    dets, verdicts = mimo_quantum_limit(blocks)
     _write(cfg, {"omega": omega, "det": dets, "verdict": verdicts})
     return 0
 

@@ -23,7 +23,8 @@ from .core import FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import kubo_check, symmetrize
 
-# Relative tolerance of the gap verdicts and of the valid-detector premise.
+# Relative tolerance of the gap and determinant verdicts and of the
+# valid-detector premise.
 _TOL = 1e-9
 # Relative Hermiticity defect a MIMO spectral matrix may carry.
 _HERMITICITY_TOL = 1e-12
@@ -45,7 +46,7 @@ class Verdict(enum.Enum):
 _BY_RANK = np.array(list(Verdict), dtype=object)
 
 
-def classify_verdicts(gap: np.ndarray, threshold: np.ndarray
+def classify_verdicts(gap: np.ndarray, threshold: np.ndarray | float
                       ) -> tuple[Verdict, ...]:
     """Classify each gap against its threshold.
 
@@ -164,13 +165,19 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
     return out
 
 
-def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
-    """Determinant per frequency of an (n_omega, 2N, 2N) stack of spectral matrices.
+def mimo_quantum_limit(spectral_matrix: np.ndarray
+                       ) -> tuple[np.ndarray, tuple[Verdict, ...]]:
+    """Determinant and verdict per frequency of an (n_omega, 2N, 2N) stack of
+    spectral matrices.
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
-    thermal admixtures push it strictly positive. The input must be finite,
-    Hermitian to 1e-12 of its largest entry and positive semidefinite at
-    every frequency; a determinant that overflows float64 raises ValueError.
+    thermal admixtures push it strictly positive. Each determinant is judged
+    relative to the mean eigenvalue m (the trace over 2N, floored at the
+    smallest normal float) raised to the 2N: quantum_limited where
+    max(det, 0) / m^2N <= 1e-9, above_limit beyond. The input must be
+    finite, Hermitian to 1e-12 of its largest entry and positive
+    semidefinite at every frequency, or InvalidMatrixError is raised; a
+    determinant that overflows float64 raises ValueError.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2:
@@ -201,7 +208,15 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"determinant at grid index {int(np.argmin(np.isfinite(dets)))} "
             "overflows float64: the spectral matrix is out of range")
-    return dets
+    dim = mat.shape[1]
+    mean = np.maximum(np.einsum("kii->k", mat).real / dim, np.finfo(float).tiny)
+    # every block is positive semidefinite, so a negative determinant is
+    # round-off and the verdict is two-way; and det <= mean**dim, so dividing
+    # by the mean eigenvalue dim times never overflows where mean**dim would
+    ratio = np.maximum(dets, 0.0)
+    for _ in range(dim):
+        ratio = ratio / mean
+    return dets, classify_verdicts(ratio, _TOL)
 
 
 def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,

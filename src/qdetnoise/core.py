@@ -32,6 +32,20 @@ def _require_finite(record) -> None:
             raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
+def _require_width(name: str, value: float) -> None:
+    """Reject a grid width that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_count(name: str, value: float, least: int) -> int:
+    """``value`` as an int; raise unless it is a whole number >= ``least``."""
+    if not (math.isfinite(value) and value == int(value) and value >= least):
+        raise ValueError(f"{name} must be a whole number of at least {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class UnitConvention:
     """Value of hbar all formulas read; the default is 1.
@@ -49,7 +63,7 @@ class UnitConvention:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing grid of angular frequencies (rad/s)."""
+    """Strictly increasing grid of finite angular frequencies (rad/s)."""
 
     points: np.ndarray
 
@@ -57,6 +71,8 @@ class FrequencyGrid:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("grid must be a one-dimensional, non-empty array")
+        if not np.isfinite(pts).all():
+            raise ValueError("grid points must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         pts.flags.writeable = False
@@ -92,13 +108,13 @@ def make_symmetric_grid(omega_max: float, n_half: int) -> FrequencyGrid:
     """Uniform grid of 2*n_half + 1 points on [-omega_max, omega_max].
 
     The positive half is mirrored by negation, so points == -points[::-1]
-    holds exactly and reflection is a pure index reversal.
+    holds exactly and reflection is a pure index reversal.  omega_max must
+    be finite and positive and n_half a whole number >= 1; otherwise
+    ValueError names the argument.
     """
-    if not omega_max > 0:
-        raise ValueError("omega_max must be positive")
-    if n_half < 1:
-        raise ValueError("n_half must be a positive integer")
-    pos = np.linspace(0.0, float(omega_max), int(n_half) + 1)[1:]
+    _require_width("omega_max", omega_max)
+    n_half = _require_count("n_half", n_half, 1)
+    pos = np.linspace(0.0, float(omega_max), n_half + 1)[1:]
     return FrequencyGrid(np.concatenate([-pos[::-1], [0.0], pos]))
 
 

@@ -185,7 +185,7 @@ def test_criterion_08_mimo_determinant_classification():
 
     def dets_and_scale(sets):
         mat = q.assemble_mimo_matrix(sets)
-        dets = q.mimo_quantum_limit(mat)
+        dets, _ = q.mimo_quantum_limit(mat)
         scale = np.prod(np.abs(np.diagonal(mat, axis1=1, axis2=2)), axis=1)
         return dets, scale
 

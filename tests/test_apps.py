@@ -332,3 +332,14 @@ class TestAsymmetryGrid:
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
         with pytest.raises(ValueError):
             q.asymmetry_grid(params, osc, halfwidth_linewidths=0.0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_points": 1}, "n_points"),
+        ({"n_points": 2.7}, "n_points"),  # not a whole number of points
+        ({"halfwidth_linewidths": math.nan}, "halfwidth_linewidths"),
+    ])
+    def test_names_the_bad_argument(self, kwargs, name):
+        params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)
+        osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
+        with pytest.raises(ValueError, match=name):
+            q.asymmetry_grid(params, osc, **kwargs)

@@ -310,6 +310,13 @@ class TestMechCommand:
         assert code == 2
         assert "linewidth" in capsys.readouterr().err
 
+    def test_one_point_window_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = main(self.ARGS[:-2] + ["--window-points=1", "--out", str(out)])
+        assert code == 2
+        assert "n_points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_mimo_file(path, sets):
     mat = q.assemble_mimo_matrix(sets)
@@ -673,7 +680,7 @@ def expected_mech(cfg):
 
 
 def expected_mimo(omega, blocks):
-    dets = q.mimo_quantum_limit(blocks)
+    dets, _ = q.mimo_quantum_limit(blocks)
     dim = blocks.shape[1]
     verdicts = []
     for det, block in zip(dets, blocks):
@@ -815,8 +822,10 @@ class TestWriter:
         rng = np.random.default_rng(extra + 1)
         n_rows = cli._CHUNK_ROWS + extra
         values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        verdicts = [list(q.Verdict)[i] for i in rng.integers(0, 3, n_rows)]
         self.written(tmp_path / f"t.{fmt}", fmt,
-                     {"omega": np.linspace(-5.0, 5.0, n_rows), "value": values},
+                     {"omega": np.linspace(-5.0, 5.0, n_rows), "value": values,
+                      "verdict": verdicts},
                      {"area": 0.1})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -324,14 +324,16 @@ class TestMimo:
         for state in (q.InputState.vacuum(), q.InputState.squeezed(0.5)):
             uns, _ = _engine_run(generic_params, grid129, state)
             mat = q.assemble_mimo_matrix([uns])
-            dets = q.mimo_quantum_limit(mat)
+            dets, verdicts = q.mimo_quantum_limit(mat)
             scale = np.prod(np.abs(np.diagonal(mat, axis1=1, axis2=2)), axis=1)
             assert np.max(np.abs(dets) / scale) <= 1e-9
+            assert set(verdicts) == {q.Verdict.quantum_limited}
 
     def test_thermal_determinant_positive(self, generic_params, grid129):
         uns, _ = _engine_run(generic_params, grid129, q.InputState.thermal(0.5))
-        dets = q.mimo_quantum_limit(q.assemble_mimo_matrix([uns]))
+        dets, verdicts = q.mimo_quantum_limit(q.assemble_mimo_matrix([uns]))
         assert np.all(dets > 0.0)
+        assert set(verdicts) == {q.Verdict.above_limit}
 
     def test_vacuum_block_pins_joint_determinant_to_zero(
             self, generic_params, grid129):
@@ -340,9 +342,10 @@ class TestMimo:
         pure, _ = _engine_run(generic_params, grid129)
         hot, _ = _engine_run(generic_params, grid129, q.InputState.thermal(2.0))
         mat = q.assemble_mimo_matrix([pure, hot])
-        dets = q.mimo_quantum_limit(mat)
+        dets, verdicts = q.mimo_quantum_limit(mat)
         scale = np.prod(np.abs(np.diagonal(mat, axis1=1, axis2=2)), axis=1)
         assert np.max(np.abs(dets) / scale) <= 1e-9
+        assert set(verdicts) == {q.Verdict.quantum_limited}
 
     def test_non_hermitian_rejected(self):
         mat = np.array([[[0.5, 0.2 + 0.1j], [0.9 - 0.1j, 0.5]]])
@@ -356,14 +359,15 @@ class TestMimo:
 
     def test_diagonal_determinant_value(self):
         mat = np.array([[[2.0, 0.0], [0.0, 3.0]]], dtype=complex)
-        assert q.mimo_quantum_limit(mat)[0] == pytest.approx(6.0, rel=1e-14)
+        dets, _ = q.mimo_quantum_limit(mat)
+        assert dets[0] == pytest.approx(6.0, rel=1e-14)
 
     def test_wide_eigenvalue_spread_keeps_its_determinant(self):
         # ascending products of these eigenvalues pass through 1e-320 (a
         # subnormal, 1e-5 off) and 1e-400 (underflow to 0); det = 1 for both
         mat = np.stack([np.diag([a, 1 / a, a, 1 / a]).astype(complex)
                         for a in (1e160, 1e200)])
-        dets = q.mimo_quantum_limit(mat)
+        dets, _ = q.mimo_quantum_limit(mat)
         assert dets[0] == 1.0
         assert dets[1] == pytest.approx(1.0, rel=1e-15)
 

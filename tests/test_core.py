@@ -37,6 +37,11 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             q.FrequencyGrid(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("points", [[math.nan], [-math.inf, 0.0, math.inf]])
+    def test_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            q.FrequencyGrid(np.array(points))
+
     def test_points_are_read_only(self):
         grid = q.make_symmetric_grid(1.0, 4)
         with pytest.raises(ValueError):
@@ -66,6 +71,14 @@ class TestFrequencyGrid:
     @pytest.mark.parametrize("omega_max,n_half", [(0.0, 4), (-1.0, 4), (1.0, 0)])
     def test_make_symmetric_grid_validation(self, omega_max, n_half):
         with pytest.raises(ValueError):
+            q.make_symmetric_grid(omega_max, n_half)
+
+    @pytest.mark.parametrize("omega_max,n_half,name", [
+        (5.0, 2.7, "n_half"),  # not a whole number of points
+        (math.inf, 3, "omega_max"),
+    ])
+    def test_make_symmetric_grid_names_the_bad_argument(self, omega_max, n_half, name):
+        with pytest.raises(ValueError, match=name):
             q.make_symmetric_grid(omega_max, n_half)
 
 
