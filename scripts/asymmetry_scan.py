@@ -42,9 +42,8 @@ def main():
     for n in args.occupations:
         osc = q.MechOscillator(omega_m=args.omega_m, gamma_m=args.gamma_m,
                                mass=args.mass, n_occupation=n)
-        grid = q.asymmetry_grid(params, osc,
-                                halfwidth_linewidths=args.window_halfwidth,
-                                n_points=args.window_points)
+        grid = q.asymmetry_grid(params, osc, window_halfwidth=args.window_halfwidth,
+                                window_points=args.window_points)
         result = q.sideband_asymmetry(params, osc, grid)
         predicted = (n + 1.0) / n if n > 0 else float("inf")
         rel = abs(result.ratio - predicted) / predicted

@@ -31,18 +31,6 @@ from .errors import (
     OpticalSpringInstabilityError,
 )
 
-__all__ = [
-    "QubitReadoutResult",
-    "AsymmetryResult",
-    "optimal_angle",
-    "qubit_rates",
-    "modified_mech_susceptibility",
-    "thermal_force_spectrum",
-    "closed_loop_poles",
-    "sideband_asymmetry",
-    "asymmetry_grid",
-]
-
 
 @dataclass(frozen=True)
 class QubitReadoutResult:
@@ -311,27 +299,29 @@ def sideband_asymmetry(
 def asymmetry_grid(
     params: CavityParams,
     osc: MechOscillator,
-    halfwidth_linewidths: float = 40.0,
-    n_points: int = 4001,
+    window_halfwidth: float = 40.0,
+    window_points: int = 4001,
 ) -> FrequencyGrid:
     """Frequency grid tailored to resolving one motional sideband.
 
-    Centers the grid on omega_m with a half-width of
-    ``halfwidth_linewidths`` times the worst-case effective mechanical
+    Centers ``window_points`` points on omega_m with a half-width of
+    ``window_halfwidth`` times the worst-case effective mechanical
     linewidth (intrinsic plus back-action damping).  The default window of
     forty linewidths keeps the truncated Lorentzian tails below the 1e-4
     level in the integrated weight.  Cavity and oscillator must share one hbar;
-    the half-width must be finite and positive and n_points a whole number
-    >= 2, or ValueError names the argument.
+    the half-width must be finite and positive and window_points a whole
+    number >= 2, or ValueError names the argument.  The names are those of
+    the ``RunConfig`` fields behind ``--window-halfwidth`` and
+    ``--window-points``, so a CLI error names its flag.
     """
-    _require_width("halfwidth_linewidths", halfwidth_linewidths)
-    n_points = _require_count("n_points", n_points, 2)
+    _require_width("window_halfwidth", window_halfwidth)
+    window_points = _require_count("window_points", window_points, 2)
     if params.units != osc.units:
         raise ValueError("cavity and oscillator carry different unit conventions")
     omega_m = osc.omega_m
     gamma_opt = params.units.hbar * params.gbar**2 / (
         params.gamma * osc.mass * omega_m
     )
-    half = halfwidth_linewidths * (osc.gamma_m + gamma_opt)
-    points = np.linspace(omega_m - half, omega_m + half, n_points)
+    half = window_halfwidth * (osc.gamma_m + gamma_opt)
+    points = np.linspace(omega_m - half, omega_m + half, window_points)
     return FrequencyGrid(points)

@@ -1,6 +1,6 @@
 """Command-line frontend for reproducible batch runs.
 
-Five subcommands map onto the library layers:
+Five commands map onto the library layers:
 
 * ``spectra``     susceptibilities plus symmetrized and referred spectra on a
                   symmetric frequency grid
@@ -12,10 +12,11 @@ Five subcommands map onto the library layers:
 :class:`RunConfig` is the single config schema: each field's metadata holds
 its flag spelling and help, and both :meth:`RunConfig.to_argv` and
 :func:`build_parser` are derived from the fields, so a config always
-survives the argv round trip.  Every subcommand accepts the full flag set
-(irrelevant flags are ignored).  Output files are byte-deterministic: no
-timestamps, fixed float formatting, a single ``# config:`` echo line as the
-only metadata.  One writer, ``_write``, produces both formats.
+survives the argv round trip.  One parser takes the command and the full
+flag set, in any order (irrelevant flags are ignored).  Output files are
+byte-deterministic: no timestamps, fixed float formatting, a single
+``# config:`` echo line as the only metadata.  One writer, ``_write``,
+produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
 non-finite float flag or input state, and a finite configuration whose
@@ -32,6 +33,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -49,8 +51,6 @@ from .netsolve import (
     solve_unsym_spectra,
     symmetrize,
 )
-
-__all__ = ["RunConfig", "parse_config", "parse_input_state", "build_parser", "main"]
 
 _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
@@ -160,7 +160,18 @@ def parse_input_state(spec: str) -> InputState:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    """The one parser: a command and the RunConfig options, each added once.
+
+    The command is a positional choice over ``_COMMANDS``. Options may come
+    before or after it, and every command accepts the full flag set.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qdetnoise",
+        description="Quantum noise spectra, constraints, and applications "
+                    "of a cavity position detector.",
+    )
+    parser.add_argument("command", choices=list(_COMMANDS), help="; ".join(
+        f"{name}: {help}" for name, (_, help) in _COMMANDS.items()))
     for field in _OPTIONS:
         if isinstance(field.default, bool):
             kind = {"action": "store_true"}
@@ -168,17 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
             kind = {}
         else:
             kind = {"type": type(field.default)}
-        shared.add_argument(_flag(field), dest=field.name, default=field.default,
+        parser.add_argument(_flag(field), dest=field.name, default=field.default,
                             **kind, **field.metadata["parser_kwargs"])
-
-    parser = argparse.ArgumentParser(
-        prog="qdetnoise",
-        description="Quantum noise spectra, constraints, and applications "
-                    "of a cavity position detector.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help) in _COMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=help)
     return parser
 
 
@@ -389,23 +391,15 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_qubit(cfg: RunConfig) -> int:
-    result = qubit_rates(_cavity_params(cfg))
-    scalars = {
-        "gamma_meas": result.gamma_meas,
-        "gamma_phi": result.gamma_phi,
-        "ratio": result.ratio,
-        "theta_opt": result.theta_opt,
-    }
-    _write(cfg, {}, scalars)
+    _write(cfg, {}, dataclasses.asdict(qubit_rates(_cavity_params(cfg))))
     return 0
 
 
 def cmd_mech(cfg: RunConfig) -> int:
     params = _cavity_params(cfg)
     osc = _oscillator(cfg)
-    grid = asymmetry_grid(params, osc,
-                          halfwidth_linewidths=cfg.window_halfwidth,
-                          n_points=cfg.window_points)
+    grid = asymmetry_grid(params, osc, window_halfwidth=cfg.window_halfwidth,
+                          window_points=cfg.window_points)
     result = sideband_asymmetry(params, osc, grid)
     columns = {
         "omega": grid.points,
@@ -462,11 +456,23 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    A failure prints one ``error:`` line to stderr. A library warning that
+    the warning filters let through prints one ``warning: <message>`` line,
+    without a source path; under ``-W error`` it still raises.
+    """
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         # float64 overflow, 0/0 and x/0 raise here, to exit 2 below
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with warnings.catch_warnings(), np.errstate(
+                over="raise", invalid="raise", divide="raise"):
+            warnings.showwarning = _show_warning
             return _COMMANDS[cfg.command][0](cfg)
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ from .core import FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import kubo_check, symmetrize
 
-# Relative tolerance of the gap and determinant verdicts and of the
-# valid-detector premise.
+# Relative tolerance of the gap and determinant verdicts, of the
+# valid-detector premise and of a MIMO block's positive semidefiniteness.
 _TOL = 1e-9
 # Relative Hermiticity defect a MIMO spectral matrix may carry.
 _HERMITICITY_TOL = 1e-12
@@ -174,10 +174,10 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray
     thermal admixtures push it strictly positive. Each determinant is judged
     relative to the mean eigenvalue m (the trace over 2N, floored at the
     smallest normal float) raised to the 2N: quantum_limited where
-    max(det, 0) / m^2N <= 1e-9, above_limit beyond. The input must be
+    max(det, 0) / m^2N <= _TOL, above_limit beyond. The input must be
     finite, Hermitian to 1e-12 of its largest entry and positive
-    semidefinite at every frequency, or InvalidMatrixError is raised; a
-    determinant that overflows float64 raises ValueError.
+    semidefinite to _TOL of it at every frequency, or InvalidMatrixError
+    is raised; a determinant that overflows float64 raises ValueError.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2:
@@ -196,7 +196,7 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray
             f"spectral matrix at grid index {idx} is not Hermitian "
             f"(defect {herm_defect[idx]:.3g} vs scale {scale[idx]:.3g})")
     eigs = np.linalg.eigvalsh(mat)
-    if np.any(eigs < -1e-9 * np.maximum(scale, 1e-300)[:, None]):
+    if np.any(eigs < -_TOL * np.maximum(scale, 1e-300)[:, None]):
         idx = int(np.argmax(np.min(eigs, axis=1) < 0))
         raise InvalidMatrixError(
             f"spectral matrix at grid index {idx} is not positive semidefinite")
@@ -225,7 +225,7 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
 
     Takes unsymmetrized spectra (for the fluctuation-dissipation residual),
     symmetrizes internally for the rest, and classifies each frequency with
-    t = 1e-9*scale: quantum_limited when |gap| <= t, above_limit when
+    t = _TOL*scale: quantum_limited when |gap| <= t, above_limit when
     gap > t, violation when gap < -t (inconsistent inputs, never valid
     physics) or when the gap is not finite.
 

@@ -313,7 +313,7 @@ class TestAsymmetryGrid:
     def test_centered_on_resonance(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
-        grid = q.asymmetry_grid(params, osc, n_points=101)
+        grid = q.asymmetry_grid(params, osc, window_points=101)
         pts = grid.points
         assert pts.size == 101
         assert (pts[0] + pts[-1]) / 2 == pytest.approx(osc.omega_m, rel=1e-12)
@@ -321,8 +321,8 @@ class TestAsymmetryGrid:
     def test_width_scales_with_linewidth(self):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
-        narrow = q.asymmetry_grid(params, osc, halfwidth_linewidths=10.0)
-        wide = q.asymmetry_grid(params, osc, halfwidth_linewidths=40.0)
+        narrow = q.asymmetry_grid(params, osc, window_halfwidth=10.0)
+        wide = q.asymmetry_grid(params, osc, window_halfwidth=40.0)
         ratio = (wide.points[-1] - wide.points[0]) / (
             narrow.points[-1] - narrow.points[0])
         assert ratio == pytest.approx(4.0, rel=1e-12)
@@ -331,12 +331,12 @@ class TestAsymmetryGrid:
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
         with pytest.raises(ValueError):
-            q.asymmetry_grid(params, osc, halfwidth_linewidths=0.0)
+            q.asymmetry_grid(params, osc, window_halfwidth=0.0)
 
     @pytest.mark.parametrize("kwargs,name", [
-        ({"n_points": 1}, "n_points"),
-        ({"n_points": 2.7}, "n_points"),  # not a whole number of points
-        ({"halfwidth_linewidths": math.nan}, "halfwidth_linewidths"),
+        ({"window_points": 1}, "window_points"),
+        ({"window_points": 2.7}, "window_points"),  # not a whole number of points
+        ({"window_halfwidth": math.nan}, "window_halfwidth"),
     ])
     def test_names_the_bad_argument(self, kwargs, name):
         params = q.CavityParams(gamma=0.05, delta=-1.0, gbar=7e-6, theta=0.0)

@@ -1,6 +1,5 @@
 """Command-line interface: config round-trips, file outputs, exit codes."""
 
-import argparse
 import dataclasses
 import json
 import math
@@ -79,7 +78,7 @@ class TestRunConfig:
             RunConfig(command="qubit", **{field: value})
 
 
-# The long options every subcommand accepts.  Scripts and replayed runs
+# The long options every command accepts.  Scripts and replayed runs
 # depend on these spellings, so the parser derived from RunConfig must keep
 # each of them.
 CLI_FLAGS = {
@@ -91,14 +90,20 @@ CLI_FLAGS = {
 
 def test_flag_spelling_is_pinned():
     parser = cli.build_parser()
-    (commands,) = [action for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    assert set(commands.choices) == {
+    (command,) = [action for action in parser._actions if not action.option_strings]
+    assert command.dest == "command"
+    assert set(command.choices) == {
         "spectra", "check", "qubit", "mech", "mimo-check"}
-    for name, sub in commands.choices.items():
-        flags = {opt for action in sub._actions for opt in action.option_strings
-                 if opt.startswith("--")}
-        assert flags - {"--help"} == CLI_FLAGS, name
+    flags = {opt for action in parser._actions for opt in action.option_strings
+             if opt.startswith("--")}
+    assert flags - {"--help"} == CLI_FLAGS
+
+
+def test_options_may_precede_the_command():
+    after = parse_config(["check", "--gamma=0.5", "--input=thermal:1", "--n-half=3"])
+    before = parse_config(["--gamma=0.5", "--input=thermal:1", "check", "--n-half=3"])
+    assert before == after == RunConfig(command="check", gamma=0.5,
+                                        input_state="thermal:1", n_half=3)
 
 
 class TestParseInputState:
@@ -314,7 +319,8 @@ class TestMechCommand:
         out = tmp_path / "m.csv"
         code = main(self.ARGS[:-2] + ["--window-points=1", "--out", str(out)])
         assert code == 2
-        assert "n_points" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: window_points must be a whole number of at least 2, got 1\n")
         assert not out.exists()
 
 
@@ -668,9 +674,8 @@ def expected_mech(cfg):
                             theta=cfg.theta)
     osc = q.MechOscillator(omega_m=cfg.omega_m, gamma_m=cfg.gamma_m,
                            mass=cfg.mass, n_occupation=cfg.n_occ)
-    grid = q.asymmetry_grid(params, osc,
-                            halfwidth_linewidths=cfg.window_halfwidth,
-                            n_points=cfg.window_points)
+    grid = q.asymmetry_grid(params, osc, window_halfwidth=cfg.window_halfwidth,
+                            window_points=cfg.window_points)
     res = q.sideband_asymmetry(params, osc, grid)
     columns = {"omega": grid.points,
                "spectrum_red": res.spectrum_red.values.real,
@@ -874,5 +879,19 @@ class TestEntryPoint:
             [sys.executable, "-m", "qdetnoise", "--help"],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        for name in ("spectra", "check", "qubit", "mech", "mimo-check"):
+        for name in ("spectra", "check", "qubit", "mech", "mimo-check",
+                     *CLI_FLAGS):
             assert name in proc.stdout
+
+    def test_library_warning_is_one_line(self, tmp_path):
+        # gamma > 0.1 omega_m: the sidebands overlap and the library warns
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdetnoise", "mech", "--gamma=0.2",
+             "--gbar=1e-4", "--gamma-m=1e-3", "--n-occ=2", "--window-points=401",
+             "--out", str(tmp_path / "m.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "warning: cavity linewidth exceeds 0.1 * omega_m; sidebands "
+            "overlap and integrated weights are unreliable\n")
+        assert (tmp_path / "m.csv").exists()

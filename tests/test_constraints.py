@@ -390,3 +390,37 @@ class TestKuboInReport:
         report = q.constraint_report(uns, susc)
         scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
         assert np.max(np.abs(report.kubo_residual)) <= 1e-12 * scale
+
+
+class TestOpenAuditDefects:
+    """Known false verdicts, each pinned until its ROADMAP item lands.
+
+    Both specs are strict xfails: the change that fixes a defect makes its
+    spec pass, and must then remove the marker.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item A: squeezed inputs "
+                       "lose the quantum limit to e^{2r} cancellation")
+    def test_pure_squeezed_input_is_quantum_limited(self):
+        params = q.CavityParams(gamma=2.0, delta=0.0, gbar=1.0, theta=np.pi / 2)
+        uns, susc = _engine_run(params, q.make_symmetric_grid(5.0, 64),
+                                q.InputState(0.0, 8.0, 0.0))
+        report = q.constraint_report(uns, susc)
+        assert set(report.verdicts) == {q.Verdict.quantum_limited}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item B: the verdict reads "
+                       "the uncertainty gap alone, not Kubo or positivity")
+    def test_odd_force_noise_bump_is_a_violation(self):
+        params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1.0, theta=0.4)
+        grid = q.make_symmetric_grid(5.0, 64)
+        uns, susc = _engine_run(params, grid)
+        omega = grid.points
+        # odd in omega, so the symmetrized S_ff and the gap do not see it
+        s_ff = uns.s_ff.values + 50.0 * np.exp(-omega ** 2) * np.sign(omega)
+        doctored = q.SpectraSet(grid=grid, s_zz=uns.s_zz, s_zf=uns.s_zf,
+                                s_ff=q.ComplexSpectrum(grid, s_ff),
+                                symmetrized=False)
+        report = q.constraint_report(doctored, susc)
+        assert np.max(np.abs(report.kubo_residual)) > 49.0
+        assert np.min(s_ff.real) < -48.0
+        assert report.worst_verdict is q.Verdict.violation

@@ -81,8 +81,10 @@ assert resid <= 1e-12 * scale, resid / scale
 def _run_fresh(code, cwd):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=False)
+    # a warning in the child fails the check, as it does in the suite
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          check=False)
     assert proc.returncode == 0, proc.stderr
 
 
