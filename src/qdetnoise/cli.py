@@ -13,17 +13,22 @@ Five commands map onto the library layers:
 its flag spelling and help, and both :meth:`RunConfig.to_argv` and
 :func:`build_parser` are derived from the fields, so a config always
 survives the argv round trip.  One parser takes the command and the full
-flag set, in any order (irrelevant flags are ignored).  Output files are
+flag set, in any order.  ``_COMMANDS`` names the fields each command reads
+(``--format`` and ``--out`` belong to all); :func:`main` refuses a run that
+sets any other field away from its default, so the ``# config:`` echo never
+records a setting its numbers ignore.  Output files are
 byte-deterministic: no timestamps, fixed float formatting, a single
 ``# config:`` echo line as the only metadata.  One writer, ``_write``,
 produces both formats.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
-non-finite float flag or input state, and a finite configuration whose
-arithmetic overflows float64 or divides by zero, which writes no file) or
-malformed input file, 3 constraint violation (including invalid
-spectral matrices), 4 physically degenerate regime (no readout gain, no
-positive red sideband weight for an occupied oscillator, unstable spring).
+non-finite float flag or input state, a flag the command does not read, a
+library warning that the warning filters turn into an error, and a finite
+configuration whose arithmetic overflows float64 or divides by zero, which
+writes no file) or malformed input file, 3 constraint violation (including
+invalid spectral matrices), 4 physically degenerate regime (no readout gain,
+no positive red sideband weight for an occupied oscillator, unstable
+spring).
 """
 
 from __future__ import annotations
@@ -162,8 +167,10 @@ def parse_input_state(spec: str) -> InputState:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser: a command and the RunConfig options, each added once.
 
-    The command is a positional choice over ``_COMMANDS``. Options may come
-    before or after it, and every command accepts the full flag set.
+    The command is a positional choice over ``_COMMANDS``, whose help lists
+    the flags each command reads. Options may come before or after it. The
+    parser takes every flag for every command; :func:`main` refuses the
+    ones a command does not read.
     """
     parser = argparse.ArgumentParser(
         prog="qdetnoise",
@@ -171,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "of a cavity position detector.",
     )
     parser.add_argument("command", choices=list(_COMMANDS), help="; ".join(
-        f"{name}: {help}" for name, (_, help) in _COMMANDS.items()))
+        f"{name}: {help} ({' '.join(_flag(f) for f in _OPTIONS if f.name in reads)})"
+        for name, (_, help, reads) in _COMMANDS.items()))
     for field in _OPTIONS:
         if isinstance(field.default, bool):
             kind = {"action": "store_true"}
@@ -255,34 +263,41 @@ def _labels(block: np.ndarray) -> np.ndarray:
     return block.view(np.uint8).reshape(len(block), block.itemsize)
 
 
+def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
+    """``n`` rows of side-by-side parts as one byte array, zero padding dropped.
+
+    An array part is an ``(n, width)`` uint8 block of zero-padded cells; a
+    ``bytes`` part is repeated down the rows.
+    """
+    out = np.concatenate([
+        np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (n, len(part)))
+        if isinstance(part, bytes) else part for part in parts], axis=1)
+    return out[out != 0]
+
+
 def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
                 scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
     """The CSV header, then the rows, formatted ``_CHUNK_ROWS`` at a time.
 
-    A block of rows is one uint8 array: each column's zero-padded field (a
-    float column's from one :func:`._format.format_e16` call over the block,
-    a label column's bytes) and a comma column, side by side, then the
-    scalars and newline; one mask drops the zero bytes that pad short cells.
+    A block of rows is one :func:`_join` of each column's zero-padded field
+    (a float column's from one :func:`._format.format_e16` call over the
+    block, a label column's bytes) and a comma, then the scalars and newline.
     """
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
     yield head.encode("ascii")
     suffix = ",".join("%.16e" % value for value in scalars.values()) + "\n"
     if cells and scalars:
         suffix = "," + suffix
-    suffix = np.frombuffer(suffix.encode("ascii"), dtype=np.uint8)
     floats = [col for col in cells.values() if col.dtype == float]
     n_rows = len(next(iter(cells.values()))) if cells else 1
     for first in range(0, n_rows, _CHUNK_ROWS):
         rows = slice(first, first + _CHUNK_ROWS)
         n = min(_CHUNK_ROWS, n_rows - first)
         text = iter(format_e16(np.array([col[rows] for col in floats])))
-        comma = np.full((n, 1), ord(","), dtype=np.uint8)
         parts = []
         for col in cells.values():
-            parts += [next(text) if col.dtype == float else _labels(col[rows]), comma]
-        out = np.concatenate(
-            [*parts[:-1], np.broadcast_to(suffix, (n, suffix.size))], axis=1)
-        yield out[out != 0]
+            parts += [next(text) if col.dtype == float else _labels(col[rows]), b","]
+        yield _join([*parts[:-1], suffix.encode("ascii")], n)
 
 
 def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
@@ -290,8 +305,7 @@ def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
     yielded one top-level key at a time.
 
     A non-empty array is written ``_CHUNK_ROWS`` rows at a time, by one
-    concatenation and one mask that drops the zero bytes padding its cells:
-    a float column as ``"    <repr>,\\n"`` rows, from
+    :func:`_join`: a float column as ``"    <repr>,\\n"`` rows, from
     :func:`._format.format_repr`'s ``float.__repr__`` bytes, as json writes
     floats; a label column as ``"    \\"<label>\\",\\n"`` rows, as no label
     needs escaping.  Every other value is ``json.dumps`` re-indented.
@@ -301,15 +315,10 @@ def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
         head = f"{',' if i else '{'}\n  {json.dumps(key)}: "
         if isinstance(value, np.ndarray) and value.size:
             encode, quote = (format_repr, b"") if value.dtype == float else (_labels, b'"')
-            start = np.frombuffer(b"    " + quote, dtype=np.uint8)
-            end = np.frombuffer(quote + b",\n", dtype=np.uint8)
             yield f"{head}[\n".encode("ascii")
             for first in range(0, value.size, _CHUNK_ROWS):
                 text = encode(value[first:first + _CHUNK_ROWS])
-                n = len(text)
-                rows = np.concatenate([np.broadcast_to(start, (n, start.size)), text,
-                                       np.broadcast_to(end, (n, end.size))], axis=1)
-                rows = rows[rows != 0]
+                rows = _join([b"    " + quote, text, quote + b",\n"], len(text))
                 yield rows if first + _CHUNK_ROWS < value.size else rows[:-2]
             yield b"\n  ]"
             continue
@@ -446,13 +455,24 @@ def cmd_mimo_check(cfg: RunConfig) -> int:
     return 0
 
 
+# Each command, its help and the RunConfig fields it reads; every command
+# also reads fmt and out.  mech reads no delta: sideband_asymmetry sets the
+# detuning to -+omega_m itself.
+_CAVITY = ("gamma", "delta", "gbar", "theta")
+_AUDIT = (*_CAVITY, "omega_max", "n_half", "input_state")
 _COMMANDS = {
-    "spectra": (cmd_spectra, "tabulate susceptibilities and spectra on a grid"),
-    "check": (cmd_check, "audit quantum constraints frequency by frequency"),
-    "qubit": (cmd_qubit, "dispersive readout rates and optimal homodyne angle"),
-    "mech": (cmd_mech, "motional sideband spectra and asymmetry ratio"),
+    "spectra": (cmd_spectra, "tabulate susceptibilities and spectra on a grid",
+                (*_AUDIT, "single_sided")),
+    "check": (cmd_check, "audit quantum constraints frequency by frequency",
+              _AUDIT),
+    "qubit": (cmd_qubit, "dispersive readout rates and optimal homodyne angle",
+              _CAVITY),
+    "mech": (cmd_mech, "motional sideband spectra and asymmetry ratio",
+             ("gamma", "gbar", "theta", "omega_m", "gamma_m", "mass", "n_occ",
+              "window_halfwidth", "window_points")),
     "mimo-check": (cmd_mimo_check,
-                   "determinant test for a file of 2Nx2N spectral matrices"),
+                   "determinant test for a file of 2Nx2N spectral matrices",
+                   ("mimo_input",)),
 }
 
 
@@ -463,17 +483,25 @@ def _show_warning(message, *_):
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code (see the module docstring).
 
-    A failure prints one ``error:`` line to stderr. A library warning that
-    the warning filters let through prints one ``warning: <message>`` line,
-    without a source path; under ``-W error`` it still raises.
+    A flag that the command does not read, set to anything but its default,
+    exits 2 before the command runs. A failure prints one ``error:`` line
+    to stderr. A library warning that the warning filters let through
+    prints one ``warning: <message>`` line, without a source path; one that
+    they turn into an error (``-W error``) prints one ``error:`` line and
+    exits 2.
     """
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        fn, _, reads = _COMMANDS[cfg.command]
+        for field in _OPTIONS:
+            if (field.name not in (*reads, "fmt", "out")
+                    and getattr(cfg, field.name) != field.default):
+                raise ValueError(f"{_flag(field)} has no effect on {cfg.command}")
         # float64 overflow, 0/0 and x/0 raise here, to exit 2 below
         with warnings.catch_warnings(), np.errstate(
                 over="raise", invalid="raise", divide="raise"):
             warnings.showwarning = _show_warning
-            return _COMMANDS[cfg.command][0](cfg)
+            return fn(cfg)
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3
@@ -484,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # degenerate readout, unstable spring, singular normalization, ...
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, Warning) as exc:  # a warning raises under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

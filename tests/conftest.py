@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +17,15 @@ settings.load_profile("suite")
 
 # hbar values a check must hold at: the default and one on either side of it.
 HBARS = (1.0, 0.5, 2.0)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """The environment for a child ``python`` that imports qdetnoise: this
+    checkout's ``src`` first on ``PYTHONPATH``, so no install is needed."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def draw_cavity(rng: np.random.Generator, hbar: float = 1.0) -> q.CavityParams:

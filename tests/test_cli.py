@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdetnoise as q
+from conftest import child_env
 from qdetnoise import cli
 from qdetnoise.cli import RunConfig, main, parse_config, parse_input_state
 
@@ -104,6 +105,45 @@ def test_options_may_precede_the_command():
     before = parse_config(["--gamma=0.5", "--input=thermal:1", "check", "--n-half=3"])
     assert before == after == RunConfig(command="check", gamma=0.5,
                                         input_state="thermal:1", n_half=3)
+
+
+def _non_default(field):
+    if isinstance(field.default, bool):
+        return True
+    if field.default is None:
+        return "x.csv"
+    if field.name == "input_state":
+        return "thermal:1"
+    return field.default + 1
+
+
+# every (command, RunConfig field it does not read), from the command table
+UNREAD = [(command, field, _non_default(field))
+          for command, (_, _, reads) in cli._COMMANDS.items()
+          for field in dataclasses.fields(RunConfig)[1:]
+          if field.name not in (*reads, "fmt", "out")]
+
+
+class TestUnreadFlags:
+    def test_each_command_takes_only_what_it_reads(self):
+        # 15 fields besides --format and --out, over five commands
+        assert len(UNREAD) == 46
+
+    @pytest.mark.parametrize("command,field,value", UNREAD,
+                             ids=[f"{c}-{f.name}" for c, f, _ in UNREAD])
+    def test_non_default_value_exits_2(self, tmp_path, capsys, command, field,
+                                       value):
+        out = tmp_path / "x.csv"
+        cfg = RunConfig(command, out=str(out), **{field.name: value})
+        assert main(cfg.to_argv()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cli._flag(field)} has no effect on {command}\n")
+        assert not out.exists()
+
+    def test_explicit_default_is_accepted(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["qubit", "--n-half=100", "--input=vacuum", f"--out={out}"]) == 0
+        assert out.exists()
 
 
 class TestParseInputState:
@@ -870,28 +910,39 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "qdetnoise", "qubit",
              "--format", "json", "--out", str(out)],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["ratio"] == pytest.approx(1.0)
 
     def test_help_lists_subcommands(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qdetnoise", "--help"],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         for name in ("spectra", "check", "qubit", "mech", "mimo-check",
                      *CLI_FLAGS):
             assert name in proc.stdout
 
+    # gamma > 0.1 omega_m: the sidebands overlap and the library warns
+    OVERLAP = ["mech", "--gamma=0.2", "--gbar=1e-4", "--gamma-m=1e-3",
+               "--n-occ=2", "--window-points=401"]
+    WARNING = ("cavity linewidth exceeds 0.1 * omega_m; sidebands overlap and "
+               "integrated weights are unreliable\n")
+
     def test_library_warning_is_one_line(self, tmp_path):
-        # gamma > 0.1 omega_m: the sidebands overlap and the library warns
         proc = subprocess.run(
-            [sys.executable, "-m", "qdetnoise", "mech", "--gamma=0.2",
-             "--gbar=1e-4", "--gamma-m=1e-3", "--n-occ=2", "--window-points=401",
+            [sys.executable, "-m", "qdetnoise", *self.OVERLAP,
              "--out", str(tmp_path / "m.csv")],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == (
-            "warning: cavity linewidth exceeds 0.1 * omega_m; sidebands "
-            "overlap and integrated weights are unreliable\n")
+        assert proc.stderr == "warning: " + self.WARNING
         assert (tmp_path / "m.csv").exists()
+
+    def test_warning_as_error_is_one_line(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qdetnoise", *self.OVERLAP,
+             "--out", str(tmp_path / "m.csv")],
+            env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: " + self.WARNING
+        assert not (tmp_path / "m.csv").exists()

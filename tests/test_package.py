@@ -1,6 +1,5 @@
 """The package surface: its exported names, its imports and its scripts."""
 
-import os
 import re
 import runpy
 import subprocess
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import qdetnoise as q
+from conftest import child_env
+from qdetnoise import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -29,9 +30,10 @@ sys.meta_path.insert(0, _NoScipy())
 _CLI_RUNS = """
 from qdetnoise.cli import main
 mech = ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3", "--n-occ=2"]
-for argv in (["spectra"], ["spectra", "--input=thermal:0.5"], ["check"],
-             ["qubit"], mech, ["mimo-check", "--mimo-input=blocks.csv"]):
-    assert main([*argv, "--n-half=8", "--out=" + argv[0] + ".csv"]) == 0, argv
+small = "--n-half=8"  # read by spectra and check only
+for argv in (["spectra", small], ["spectra", "--input=thermal:0.5", small],
+             ["check", small], ["qubit"], mech, ["mimo-check", "--mimo-input=blocks.csv"]):
+    assert main([*argv, "--out=" + argv[0] + ".csv"]) == 0, argv
 """
 
 _NON_PASSIVE_SOLVES = """
@@ -79,11 +81,9 @@ assert resid <= 1e-12 * scale, resid / scale
 
 
 def _run_fresh(code, cwd):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     # a warning in the child fails the check, as it does in the suite
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
-                          cwd=cwd, env=env, capture_output=True, text=True,
+                          cwd=cwd, env=child_env(), capture_output=True, text=True,
                           check=False)
     assert proc.returncode == 0, proc.stderr
 
@@ -153,3 +153,14 @@ def test_readme_examples_run(capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     out = capsys.readouterr().out
     assert "above_limit" in out
+
+
+def test_readme_flag_table_matches_the_cli():
+    # the README's table of the flags each command reads, against the
+    # table main enforces
+    rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$",
+                      (ROOT / "README.md").read_text(), flags=re.MULTILINE)
+    options = {field.name: cli._flag(field) for field in cli._OPTIONS}
+    assert {command: flags.split() for command, flags in rows} == {
+        command: [options[name] for name in options if name in reads]
+        for command, (_, _, reads) in cli._COMMANDS.items()}
