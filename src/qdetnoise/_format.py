@@ -4,11 +4,12 @@
 ``float.__repr__(x)``.  Both start from the same digit stage.  A finite
 nonzero |x| with decimal exponent E has the 17-digit integer
 N = round(|x| * 10**(16 - E)), half to even.  The power of ten is held as a
-double-double (hi + lo, exact to about 2**-106; the table of all 635 is
-built at import from exact integers, about 2 ms), and Dekker's error-free
-product splits |x| * hi into its rounded value p and exact error t, so
-p + t carries |x| * 10**(16 - E) to about 1e-14 units of N: enough to round
-every cell except those within ``_TIE_GUARD`` of a half-way point.  Values
+double-double (hi + lo, exact to about 2**-106), built from exact integers
+the first time a cell needs its E and kept: all 635 take about 4 ms, more
+than a short table needs.  Dekker's error-free product splits |x| * hi
+into its rounded value p and exact error t, so p + t carries
+|x| * 10**(16 - E) to about 1e-14 units of N: enough to round every cell
+except those within ``_TIE_GUARD`` of a half-way point.  Values
 beyond 1e+-250 are pre-scaled by 2**-+200, which is exact, so that no
 intermediate overflows or underflows.
 
@@ -62,7 +63,8 @@ def _power(e: int, scale: float) -> tuple[float, float]:
     return hi, (num * h_den - h_num * den) / (den * h_den)
 
 
-_HI, _LO = np.array([_power(int(e), float(s)) for e, s in zip(_EXPONENTS, _SCALE)]).T
+# hi and lo of each E, NaN until _scaled first needs them
+_HI, _LO = np.full((2, _EXPONENTS.size), np.nan)
 # "e", the sign and two or three digits of each exponent, as a little-endian word
 _EXPONENT_WORDS = np.array([int.from_bytes(b"e%+03d" % e, "little") for e in _EXPONENTS],
                            dtype=np.uint64)
@@ -77,7 +79,15 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p + t = a * 10**(16 - e): p the rounded product, t what it left out."""
     index = e - _E_MIN
-    hi, lo = _HI[index], _LO[index]
+    hi = _HI[index]
+    if np.isnan(hi).any():
+        needed = np.bincount(index, minlength=_HI.size) > 0
+        for i in np.flatnonzero(needed & np.isnan(_HI)).tolist():
+            high, low = _power(i + _E_MIN, float(_SCALE[i]))
+            _LO[i] = low  # before hi, which marks the entry as filled
+            _HI[i] = high
+        hi = _HI[index]
+    lo = _LO[index]
     x = a * _SCALE[index]
     p = x * hi
     x_hi, x_lo = _split(x)

@@ -59,6 +59,8 @@ from .netsolve import (
 
 _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
+_VERDICTS = list(Verdict)
+_VERDICT_LABELS = np.array([v.value for v in _VERDICTS], dtype="S")
 
 # Columns that are spectral densities and therefore double in the
 # single-sided convention; responses and the frequency axis do not.
@@ -221,8 +223,9 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     column holds Verdict members, written by value; JSON adds the most
     severe one as ``worst_verdict``.  The bytes are those of ``"%.16e" %``
     per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.  The
-    verdict column becomes one zero-padded label array (``dtype="S"``), whose
-    rows both formats place as they place a formatted float block.
+    verdict column becomes one zero-padded label array (``dtype="S"``),
+    indexed by each member's rank, whose rows both formats place as they
+    place a formatted float block.
 
     A non-finite cell in a float column is rejected with ValueError, as
     the finite configuration it came from has overflowed; a scalar may be
@@ -238,8 +241,9 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     at a time, a float column by :func:`._format.format_repr`.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells = {name: (np.array([v.value for v in col], dtype="S") if name == "verdict"
-                    else np.asarray(col, dtype=float))
+    cells = {name: (_VERDICT_LABELS[np.fromiter(map(_VERDICTS.index, col),
+                                                np.intp, len(col))]
+                    if name == "verdict" else np.asarray(col, dtype=float))
              for name, col in columns.items()}
     for name, col in cells.items():
         if col.dtype == float and not np.isfinite(col).all():

@@ -57,7 +57,7 @@ def classify_verdicts(gap: np.ndarray, threshold: np.ndarray | float
     finite = np.isfinite(gap) & np.isfinite(threshold)
     rank = np.where(~finite | (gap < -threshold), 2,
                     np.where(gap > threshold, 1, 0))
-    return tuple(_BY_RANK[rank])
+    return tuple(_BY_RANK[rank].tolist())
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,12 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
         zf_sq = np.abs(s_zf) ** 2
         chi_sq = 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
         im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
-        scale = np.maximum.reduce([np.abs(zz_ff), zf_sq, chi_sq, np.abs(im_term)])
+        scale = np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
+                           np.maximum(chi_sq, np.abs(im_term)))
         d0 = zz_ff - zf_sq - chi_sq
-    overflow = (np.isfinite([s_zz, s_ff, s_zf, chi_zf, chi_ff]).all(axis=0)
-                & ~(np.isfinite(d0) & np.isfinite(scale)))
+    overflow = ~(np.isfinite(d0) & np.isfinite(scale))
+    for term in (s_zz, s_ff, s_zf, chi_zf, chi_ff):
+        overflow &= np.isfinite(term)
     if np.any(overflow):
         omega = spectra.grid.points[np.argmax(overflow)]
         raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "

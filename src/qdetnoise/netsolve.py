@@ -24,8 +24,14 @@ susceptibility in closed form through the controllability Gramian, with no
 numerical Hilbert transforms.
 
 Both solvers take a symmetric grid (``make_symmetric_grid``) and read the
-value at -omega as the reversed array. The drift is diagonalised once per
-network, A = V diag(lambda) V^{-1}, so that
+value at -omega as the reversed array. Their rows differ only in the
+right-hand side, B for the spectra and [v_z v_f] for the susceptibilities,
+so one pass per network and grid solves rhs = [B | v_z v_f]. The first
+solver on a grid computes it and leaves the other solver's half on the
+network, keyed by the grid; the other solver takes that half and drops it.
+So once both have run the network holds nothing, and a repeated call or a
+call on another grid computes the pass again. The drift is diagonalised
+once per network, A = V diag(lambda) V^{-1}, so that
 
     R(omega) = V diag(1 / (-i omega - lambda)) V^{-1}
 
@@ -38,11 +44,12 @@ routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
 lambda), for the batched solve's n x n systems and for the spectra's
 stacked rows. The spectra block of points [a, b) reads its -omega rows
-from the mirrored rows [W - b, W - a), reversed. The controllability Gramian of a non-passive network is one
-dense solve of the vectorised Lyapunov equation, n^2 unknowns at
-O(n^6) time, and does not use the eigenvectors, so cond(V) governs only
-the resolvent. Input states are white: each line carries
-frequency-independent moments (N, M), derived from its InputState.
+from the mirrored rows [W - b, W - a), reversed, and sums only the (z, z),
+(z, f) and (f, f) entries of the form. The controllability Gramian of a
+non-passive network is one dense solve of the vectorised Lyapunov
+equation, n^2 unknowns at O(n^6) time, and does not use the eigenvectors,
+so cond(V) governs only the resolvent. Input states are white: each line
+carries frequency-independent moments (N, M), derived from its InputState.
 
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
@@ -123,7 +130,8 @@ class LinearNetwork:
     input_states may be a single InputState applied to every input line or a
     tuple with one entry per line. A valid detector has its readout built from
     output quadratures only, so that the measurement record commutes with
-    itself at unequal times.
+    itself at unequal times. Between the two solvers' calls on one grid the
+    network holds the second one's transfer rows (see the module docstring).
     """
 
     drift: np.ndarray
@@ -317,6 +325,37 @@ def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
     return out[:, :k], out[:, k:]
 
 
+def _response_rhs(net: LinearNetwork) -> np.ndarray:
+    """[v_z v_f], v_O = M conj(alpha_O + C^T mu_O) + B D^dag conj(mu_O): the
+    right-hand side whose rows give the susceptibilities' s_AB."""
+    b, d = net.input_coupling, net.feedthrough
+    return np.column_stack([net._gramian @ np.conj(net._effective_mode_row(obs))
+                            + b @ (d.conj().T @ np.conj(obs.mu))
+                            for obs in (net.readout, net.force)])
+
+
+def _shared_rows(net: LinearNetwork, grid: FrequencyGrid, half: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The readout and force rows for rhs B (half 0, the spectra's) or for
+    [v_z v_f] (half 1, the susceptibilities'), from one pass for both.
+
+    A call whose half the network holds for this grid takes it and drops
+    it. Any other call solves rhs = [B | v_z v_f] in one _observable_rows
+    call, returns its half and leaves the other on the network, in place
+    of whatever it held. So the second solver on a grid reuses the first
+    one's pass, and once both have run the network holds nothing.
+    """
+    held = vars(net).pop("_held_rows", None)
+    if held is not None and held[0] == half and held[1] == grid:
+        return held[2]
+    lines = net.n_lines
+    rows = _observable_rows(
+        net, np.column_stack([net.input_coupling, _response_rhs(net)]), grid)
+    halves = (tuple(r[:, :lines] for r in rows), tuple(r[:, lines:] for r in rows))
+    vars(net)["_held_rows"] = (1 - half, grid, halves[1 - half])
+    return halves[half]
+
+
 @_in_float64_range
 def solve_susceptibilities(net: LinearNetwork,
                            grid: FrequencyGrid) -> SusceptibilitySet:
@@ -338,11 +377,9 @@ def solve_susceptibilities(net: LinearNetwork,
     """
     grid.require_symmetric("susceptibilities")
     hbar = net.units.hbar
-    b, d = net.input_coupling, net.feedthrough
+    d = net.feedthrough
     pair = (net.readout, net.force)
-    v = [net._gramian @ np.conj(net._effective_mode_row(obs))
-         + b @ (d.conj().T @ np.conj(obs.mu)) for obs in pair]
-    s = _observable_rows(net, np.column_stack(v), grid)
+    s = _shared_rows(net, grid, 1)
     dd = d @ d.conj().T
 
     def chi(i: int, j: int) -> ComplexSpectrum:
@@ -366,13 +403,14 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     """Unsymmetrized spectra of the readout/force pair for the stored input state.
 
     Lines are uncorrelated, each weighted by the kernel K_l of its own
-    InputState's moments (see the module docstring); S_zz, S_zf and S_ff are
-    entries of one (z, f) product, whose S_fz entry is unused. Requires a
-    symmetric grid, which supplies row_O(-omega) by reversal. Raises
-    ValueError when a result overflows float64.
+    InputState's moments (see the module docstring). Only the three entries
+    S_zz, S_zf and S_ff of the (z, f) form are summed. Requires a symmetric
+    grid, which supplies row_O(-omega) by reversal. Raises ValueError when a
+    result overflows float64, or the Gramian does: the rows come from the
+    pass shared with ``solve_susceptibilities``.
     """
     grid.require_symmetric("unsymmetrized spectra")
-    rows = _observable_rows(net, net.input_coupling, grid)
+    rows = _shared_rows(net, grid, 0)
     feed = [obs.mu @ net.feedthrough for obs in (net.readout, net.force)]
     n, m = (np.array(col) for col in
             zip(*(state.moments() for state in net.input_states)))
@@ -390,8 +428,10 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
             x[:lines, o] = (row[a:b] + offset).T
             x[lines:, o] = np.conj(row[size - b:size - a][::-1] + offset).T
         xk = (kernel_t @ x.reshape(2 * lines, -1)).reshape(x.shape)
-        s = np.einsum("kaw,kbw->abw", xk, np.conj(x))
-        s_zz[a:b], s_zf[a:b], s_ff[a:b] = s[0, 0].real, s[0, 1], s[1, 1].real
+        xc = np.conj(x)
+        s_zz[a:b] = np.einsum("kw,kw->w", xk[:, 0], xc[:, 0]).real
+        s_zf[a:b] = np.einsum("kw,kw->w", xk[:, 0], xc[:, 1])
+        s_ff[a:b] = np.einsum("kw,kw->w", xk[:, 1], xc[:, 1]).real
     return SpectraSet(
         grid=grid,
         s_zz=ComplexSpectrum(grid, s_zz),

@@ -1,11 +1,14 @@
 """The array formatters against Python's own, cell by cell."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import child_env
 from qdetnoise._format import WIDTH, format_e16, format_repr
 
 
@@ -64,3 +67,18 @@ def test_random_subnormals(patterns):
 @given(st.lists(st.integers(0, 2**53), min_size=1, max_size=32))
 def test_integers_up_to_two_to_the_53_and_their_neighbours(integers):
     assert_like_python([c for i in integers for c in around(float(i), 1)])
+
+
+def test_powers_of_ten_are_built_when_first_needed():
+    # a fresh import builds none; a cell builds the power of its own exponent
+    code = ("import numpy as np\n"
+            "from qdetnoise import _format\n"
+            "assert np.isnan(_format._HI).all()\n"
+            "cells = [1.5, -2e300]\n"
+            "rows = _format.format_e16(np.array(cells))\n"
+            "assert [bytes(r[r != 0]) for r in rows] == [b'%.16e' % c for c in cells]\n"
+            "built = np.flatnonzero(~np.isnan(_format._HI)) + _format._E_MIN\n"
+            "assert built.tolist() == [0, 300], built\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

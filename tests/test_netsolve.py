@@ -493,6 +493,82 @@ class TestBlocks:
                 assert all(b - a > 0 and (b - a) % 16 == 0 for a, b in blocks[:-1])
 
 
+def _rows_per_rhs(net, grid, half):
+    """Reference for the shared pass: one _observable_rows call for the
+    half's own right-hand side, B or [v_z v_f]."""
+    rhs = netsolve._response_rhs(net) if half else net.input_coupling
+    return netsolve._observable_rows(net, rhs, grid)
+
+
+class TestSharedPass:
+    """The two solvers share one resolvent pass per network and grid: the
+    second on a grid takes the half the first left, and a network holds no
+    rows once both have run. Z is solve_susceptibilities and S
+    solve_unsym_spectra on the grid; z and s run on another grid."""
+
+    SOLVERS = {"z": q.solve_susceptibilities, "s": q.solve_unsym_spectra}
+
+    # calls and the _observable_rows calls they make
+    @pytest.mark.parametrize("calls, passes", [
+        ("ZS", 1), ("SZ", 1), ("Z", 1), ("S", 1), ("ZZSS", 3), ("SSZZ", 3),
+        ("ZzS", 3), ("SsZ", 3), ("ZsS", 3), ("SzZ", 3)])
+    @pytest.mark.parametrize("path", ["eigen", "fallback"])
+    @pytest.mark.parametrize("kind", ["passive", "generic"])
+    def test_any_order_matches_one_pass_per_rhs(self, kind, path, calls, passes,
+                                                 monkeypatch):
+        if path == "fallback":
+            monkeypatch.setattr(netsolve, "_MAX_MODE_COND", -1.0)
+        rng = np.random.default_rng(41)
+        state = q.InputState.squeezed(0.6 * np.exp(0.8j))
+        net = (_passive_test_network(4, rng, state) if kind == "passive"
+               else dataclasses.replace(_random_stable_network(rng, 4),
+                                        input_states=state))
+        assert (net._modes[1] is None) == (path == "fallback")
+        grids = {True: _symmetric_grid(101), False: q.make_symmetric_grid(3.0, 20)}
+        count = []
+
+        def counted(*args):
+            count.append(args)
+            return observable_rows(*args)
+
+        observable_rows = netsolve._observable_rows
+        got = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(netsolve, "_observable_rows", counted)
+            for call in calls:
+                result = self.SOLVERS[call.lower()](net, grids[call.isupper()])
+                if call.isupper():
+                    got.setdefault(call, []).append(result)
+        assert len(count) == passes
+        with monkeypatch.context() as patch:
+            patch.setattr(netsolve, "_shared_rows", _rows_per_rhs)
+            ref = {call: self.SOLVERS[call.lower()](net, grids[True]) for call in got}
+        for call, results in got.items():
+            names = [f.name for f in dataclasses.fields(ref[call])
+                     if isinstance(getattr(ref[call], f.name), q.ComplexSpectrum)]
+            for result in results:
+                for name in names:
+                    assert (getattr(result, name).values.tobytes()
+                            == getattr(ref[call], name).values.tobytes()), (call, name)
+        # a lone or repeated solver leaves a half for the other one
+        assert self._holds_rows(net) == (calls not in ("ZS", "SZ"))
+
+    @staticmethod
+    def _holds_rows(net) -> bool:
+        fields = {f.name for f in dataclasses.fields(net)}
+        return bool(set(vars(net)) - fields - {"_modes", "_gramian"})
+
+    @pytest.mark.parametrize("first, second", [("z", "s"), ("s", "z")])
+    def test_network_holds_no_rows_after_both_solvers(self, first, second):
+        net = _passive_test_network(16, np.random.default_rng(42),
+                                    q.InputState.thermal(0.7))
+        grid = q.make_symmetric_grid(5.0, 5000)
+        self.SOLVERS[first](net, grid)
+        assert self._holds_rows(net)
+        self.SOLVERS[second](net, grid)
+        assert not self._holds_rows(net)
+
+
 class TestOutOfRange:
     """A result float64 cannot hold raises the closed forms' ValueError,
     with no RuntimeWarning on the way."""

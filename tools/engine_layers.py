@@ -10,12 +10,18 @@ grid. The ``fallback`` path raises the network's resolvent to the batched
 solve by setting ``netsolve._MAX_MODE_COND`` below 1, so every drift counts
 as ill-conditioned. ``cond_v`` is the drift's eigenvector condition
 number, which the eigen path is bounded by (``netsolve._MAX_MODE_COND``),
-computed before the timed runs. Times are the best of three untraced runs.
-``peak_mb`` is the tracemalloc peak of one more run of both solvers, with
-both results held to the end. The network and grid are built, and the drift
-diagonalised, before any of it. The package is imported from the ``src``
-of ``--src``, this checkout by default, so one script can measure two
-trees. One markdown table row is printed per case.
+computed before the timed runs.
+
+The two solvers share one resolvent pass per network and grid, and the
+first to run computes it. So ``susceptibilities_s`` holds the whole pass
+and ``spectra_s`` only the spectra form; ``pair_s`` is both solvers, one
+after the other, on a network built fresh for each run, and is the cost of
+a solve. Times are the best of three untraced runs. ``peak_mb`` is the
+tracemalloc peak of one more run of both solvers, with both results held
+to the end. The networks and grid are built, and the drift diagonalised,
+before each timed run. The package is imported from the ``src`` of
+``--src``, this checkout by default, so one script can measure two trees.
+One markdown table row is printed per case.
 """
 
 from __future__ import annotations
@@ -45,11 +51,11 @@ def network(q, n_modes: int, rng: np.random.Generator):
 
 
 def measure(q, n_modes: int, points: int) -> dict:
+    # construction diagonalises the drift: that is per network, not per solve
     net = network(q, n_modes, np.random.default_rng(n_modes))
-    net._modes  # the eigen-decomposition is per network, not per solve
     cond_v = np.linalg.cond(np.linalg.eig(net.drift)[1])
     grid = q.make_symmetric_grid(5.0, points // 2)
-    times = {"susceptibilities_s": [], "spectra_s": []}
+    times = {"susceptibilities_s": [], "spectra_s": [], "pair_s": []}
     for _ in range(3):
         start = perf_counter()
         q.solve_susceptibilities(net, grid)
@@ -57,6 +63,11 @@ def measure(q, n_modes: int, points: int) -> dict:
         q.solve_unsym_spectra(net, grid)
         times["susceptibilities_s"].append(mid - start)
         times["spectra_s"].append(perf_counter() - mid)
+        fresh = network(q, n_modes, np.random.default_rng(n_modes))
+        start = perf_counter()
+        q.solve_susceptibilities(fresh, grid)
+        q.solve_unsym_spectra(fresh, grid)
+        times["pair_s"].append(perf_counter() - start)
     tracemalloc.start()
     results = (q.solve_susceptibilities(net, grid), q.solve_unsym_spectra(net, grid))
     peak = tracemalloc.get_traced_memory()[1]
@@ -80,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     from qdetnoise import netsolve
 
     print("| path | modes | points | cond_v | susceptibilities_s | spectra_s "
-          "| peak_mb |")
-    print("|---|---|---|---|---|---|---|")
+          "| pair_s | peak_mb |")
+    print("|---|---|---|---|---|---|---|---|")
     default_cond = netsolve._MAX_MODE_COND
     for path in args.paths:
         netsolve._MAX_MODE_COND = default_cond if path == "eigen" else -1.0
@@ -90,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                 row = measure(q, n_modes, points)
                 print(f"| {path} | {n_modes} | {points} | {row['cond_v']:.3g} | "
                       f"{row['susceptibilities_s']:.4g} | {row['spectra_s']:.4g} | "
-                      f"{row['peak_mb']:.1f} |", flush=True)
+                      f"{row['pair_s']:.4g} | {row['peak_mb']:.1f} |", flush=True)
     return 0
 
 
