@@ -16,6 +16,8 @@ Layer map:
 * :mod:`qdetnoise.cli`         reproducible batch runs
 """
 
+import types as _types
+
 from .apps import (
     AsymmetryResult,
     QubitReadoutResult,
@@ -77,54 +79,7 @@ from .netsolve import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetryResult",
-    "CavityParams",
-    "ComplexSpectrum",
-    "ConstraintReport",
-    "DegenerateReadoutError",
-    "FrequencyGrid",
-    "GridMismatchError",
-    "InputState",
-    "InvalidMatrixError",
-    "LinearNetwork",
-    "MechOscillator",
-    "NormalizedSpectra",
-    "NotAValidDetectorError",
-    "Observable",
-    "OpticalSpringInstabilityError",
-    "QDetNoiseError",
-    "QubitReadoutResult",
-    "RunConfig",
-    "SingularNormalizationError",
-    "SpectraSet",
-    "StabilityError",
-    "SusceptibilitySet",
-    "UnitConvention",
-    "Verdict",
-    "assemble_mimo_matrix",
-    "asymmetry_grid",
-    "build_one_sided_cavity",
-    "cavity_spectra",
-    "cavity_susceptibilities",
-    "cavity_unsym_spectra",
-    "closed_loop_poles",
-    "constraint_report",
-    "kubo_check",
-    "main",
-    "make_symmetric_grid",
-    "mimo_quantum_limit",
-    "modified_mech_susceptibility",
-    "normalize",
-    "optimal_angle",
-    "parse_config",
-    "parse_input_state",
-    "passive_network",
-    "qubit_rates",
-    "response_denominator",
-    "sideband_asymmetry",
-    "solve_susceptibilities",
-    "solve_unsym_spectra",
-    "symmetrize",
-    "thermal_force_spectrum",
-]
+# the public names are the classes and functions imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _types.ModuleType)))

@@ -48,7 +48,8 @@ from ._format import format_e16, format_repr
 from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .constraints import Verdict, constraint_report, mimo_quantum_limit
-from .core import CavityParams, InputState, MechOscillator, make_symmetric_grid
+from .core import (CavityParams, ComplexSpectrum, InputState, MechOscillator,
+                   make_symmetric_grid)
 from .errors import GridMismatchError, InvalidMatrixError, QDetNoiseError
 from .netsolve import (
     build_one_sided_cavity,
@@ -61,13 +62,6 @@ _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
 _VERDICTS = list(Verdict)
 _VERDICT_LABELS = np.array([v.value for v in _VERDICTS], dtype="S")
-
-# Columns that are spectral densities and therefore double in the
-# single-sided convention; responses and the frequency axis do not.
-_DENSITY_COLUMNS = frozenset(
-    {"s_zz_sym", "s_zf_sym_re", "s_zf_sym_im", "s_ff_sym",
-     "imprecision", "cross_re", "cross_im"}
-)
 
 
 def _option(default, help: str, flag: str | None = None, **parser_kwargs):
@@ -358,12 +352,14 @@ def cmd_spectra(cfg: RunConfig) -> int:
         susc = solve_susceptibilities(net, grid)
         sym = symmetrize(solve_unsym_spectra(net, grid))
     norm = normalize(sym, susc)
-    columns: dict[str, np.ndarray] = {
+    responses = {
         "omega": grid.points,
         "chi_zf_re": susc.chi_zf.values.real,
         "chi_zf_im": susc.chi_zf.values.imag,
         "chi_ff_re": susc.chi_ff.values.real,
         "chi_ff_im": susc.chi_ff.values.imag,
+    }
+    densities = {
         "s_zz_sym": sym.s_zz.values.real,
         "s_zf_sym_re": sym.s_zf.values.real,
         "s_zf_sym_im": sym.s_zf.values.imag,
@@ -373,12 +369,11 @@ def cmd_spectra(cfg: RunConfig) -> int:
         "cross_im": norm.cross.values.imag,
     }
     if cfg.single_sided:
+        # densities double in the single-sided convention; responses do not
         keep = grid.points >= 0.0
-        columns = {
-            name: (2.0 * arr[keep] if name in _DENSITY_COLUMNS else arr[keep])
-            for name, arr in columns.items()
-        }
-    _write(cfg, columns)
+        responses = {name: arr[keep] for name, arr in responses.items()}
+        densities = {name: 2.0 * arr[keep] for name, arr in densities.items()}
+    _write(cfg, {**responses, **densities})
     return 0
 
 
@@ -414,16 +409,13 @@ def cmd_mech(cfg: RunConfig) -> int:
     grid = asymmetry_grid(params, osc, window_halfwidth=cfg.window_halfwidth,
                           window_points=cfg.window_points)
     result = sideband_asymmetry(params, osc, grid)
-    columns = {
-        "omega": grid.points,
-        "spectrum_red": result.spectrum_red.values.real,
-        "spectrum_blue": result.spectrum_blue.values.real,
-    }
-    scalars = {
-        "area_red": result.area_red,
-        "area_blue": result.area_blue,
-        "ratio": result.ratio,
-    }
+    columns, scalars = {"omega": grid.points}, {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, ComplexSpectrum):
+            columns[field.name] = value.values.real
+        else:
+            scalars[field.name] = value
     _write(cfg, columns, scalars)
     return 0
 
@@ -447,6 +439,9 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{n_cells} cells per row do not form a square even-dimension block")
     data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(data[:, 0]))
+    if bad.size:
+        raise ValueError(f"omega is not finite in data row {bad[0] + 1} of {path}")
     return data[:, 0], data[:, 1:].view(complex).reshape(len(data), dim, dim)
 
 

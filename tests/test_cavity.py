@@ -1,5 +1,7 @@
 """Closed-form cavity detector: susceptibilities, spectra, normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -117,6 +119,21 @@ class TestSpectra:
                          s_ff=q.ComplexSpectrum(grid129, vals),
                          symmetrized=True)
 
+    @pytest.mark.parametrize("component, values, message", [
+        ("s_zf", None, "s_zf lives on a different grid"),
+        ("s_zz", -1.0, "symmetrized s_zz must be non-negative"),
+    ])
+    def test_symmetrized_container_rejects_bad_components(
+            self, generic_params, grid129, component, values, message):
+        sym = q.cavity_spectra(generic_params, grid129)
+        if values is None:
+            grid = _single_point_grid(0.9)
+            spectrum = q.ComplexSpectrum(grid, np.zeros(len(grid)))
+        else:
+            spectrum = q.ComplexSpectrum(grid129, np.full(len(grid129), values))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sym, **{component: spectrum})
+
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(HBARS))
     def test_positivity_of_both_sidebands(self, seed, hbar):
         # S_ff_sym >= hbar |Im chi_ff| everywhere: both single-sided spectra
@@ -180,6 +197,12 @@ class TestNormalize:
         susc = q.cavity_susceptibilities(generic_params, grid129)
         with pytest.raises(ValueError):
             q.normalize(uns, susc)
+
+    def test_normalize_requires_one_grid(self, generic_params, grid129):
+        sym = q.cavity_spectra(generic_params, grid129)
+        susc = q.cavity_susceptibilities(generic_params, _single_point_grid(0.9))
+        with pytest.raises(ValueError, match="live on different grids"):
+            q.normalize(sym, susc)
 
     def test_force_channel_passes_through(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)

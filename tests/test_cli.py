@@ -497,6 +497,32 @@ class TestMimoCheckCommand:
         # the ascending eigenvalue product of the 1e160 block is subnormal
         assert written["det"][1] == 1.0
 
+    @pytest.mark.parametrize("width", [7, 10])
+    def test_row_width_without_a_block_exits_2(self, tmp_path, capsys, width):
+        # narrower than omega and one 2x2 block, or an unpaired re/im cell
+        bad = tmp_path / "narrow.csv"
+        bad.write_text(",".join(["0.0"] * width) + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["mimo-check", "--mimo-input", str(bad), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: each MIMO row must hold omega plus re,im pairs of a 2Nx2N block\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_omega_exits_2(self, tmp_path, vacuum_file, capsys, cell):
+        lines = vacuum_file.read_text().splitlines()
+        lines[3] = ",".join([cell, *lines[3].split(",")[1:]])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["mimo-check", "--mimo-input", str(bad), "--out", str(out)])
+        assert code == 2
+        # the header line is not a data row
+        assert capsys.readouterr().err == (
+            f"error: omega is not finite in data row 3 of {bad}\n")
+        assert not out.exists()
+
     def test_odd_block_dimension_exits_2(self, tmp_path, capsys):
         # 9 cells = 3x3 block: square but odd, so not quadrature pairs
         bad = tmp_path / "odd.csv"

@@ -320,6 +320,16 @@ class TestMimo:
         with pytest.raises(ValueError):
             q.assemble_mimo_matrix([sym])
 
+    @pytest.mark.parametrize("grids, message", [
+        ((), "need at least one spectra set"),
+        ((8, 9), "all spectra sets must share one grid"),
+    ])
+    def test_assemble_needs_sets_on_one_grid(self, generic_params, grids, message):
+        sets = [_engine_run(generic_params, q.make_symmetric_grid(3.0, n))[0]
+                for n in grids]
+        with pytest.raises(ValueError, match=message):
+            q.assemble_mimo_matrix(sets)
+
     def test_pure_state_determinant_vanishes(self, generic_params, grid129):
         for state in (q.InputState.vacuum(), q.InputState.squeezed(0.5)):
             uns, _ = _engine_run(generic_params, grid129, state)

@@ -42,6 +42,11 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError, match="finite"):
             q.FrequencyGrid(np.array(points))
 
+    @pytest.mark.parametrize("points", [[[0.0, 1.0]], []])
+    def test_rejects_points_that_are_not_a_vector(self, points):
+        with pytest.raises(ValueError, match="one-dimensional, non-empty"):
+            q.FrequencyGrid(np.array(points))
+
     def test_points_are_read_only(self):
         grid = q.make_symmetric_grid(1.0, 4)
         with pytest.raises(ValueError):
@@ -54,6 +59,11 @@ class TestFrequencyGrid:
         assert a == b
         assert a != c
         assert len({a, b, c}) == 2
+
+    def test_is_not_equal_to_other_types(self):
+        grid = q.make_symmetric_grid(2.0, 8)
+        assert grid.__eq__(object()) is NotImplemented
+        assert grid != object()
 
     def test_require_symmetric_raises(self):
         grid = q.FrequencyGrid(np.array([0.0, 1.0, 2.0]))

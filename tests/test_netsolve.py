@@ -268,6 +268,22 @@ class TestNetworkConstruction:
                                      output_quad=np.zeros(2)))
 
 
+    @pytest.mark.parametrize("change, message", [
+        ({"drift": np.full((1, 1, 1), -1.0)}, "drift must be a matrix"),
+        ({"drift": [[-1.0, 0.0]]}, "drift must be square"),
+        ({"force": q.Observable(mode_quad=np.zeros(4), output_quad=np.zeros(2))},
+         "force observable does not match the network size"),
+        ({"readout": q.Observable(mode_quad=np.zeros(2), output_quad=np.zeros(4))},
+         "readout observable does not match the network size"),
+        ({"input_states": (q.InputState.vacuum(),) * 2},
+         "need one input state per line, got 2"),
+    ])
+    def test_inconsistent_sizes_are_named(self, generic_params, change, message):
+        net = q.build_one_sided_cavity(generic_params)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(net, **change)
+
+
 class TestResolventPaths:
     """Eigen-decomposition resolvent against one solve per grid point."""
 
@@ -369,6 +385,13 @@ class TestGramianPaths:
         net = _random_stable_network(np.random.default_rng(n_modes), n_modes)
         assert net._modes[1] is None
         assert np.array_equal(net._gramian, m)
+
+    def test_refined_gramian_snaps_to_the_identity(self, generic_params):
+        # a residual of 2e-12 misses the short-circuit, and the solve lands
+        # within 1e-12 of the identity
+        net = q.build_one_sided_cavity(generic_params)
+        net = dataclasses.replace(net, drift=net.drift - 1e-12)
+        assert np.array_equal(net._gramian, np.eye(1))
 
     def test_overflowing_couplings_raise(self, grid129):
         # B B^dag = 1e400: an overflowed scale must not pass the identity test
@@ -762,6 +785,13 @@ class TestKubo:
             residual = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units)
             scale = np.max(np.abs(susc.chi_ff.values.imag)) + 1e-30
             assert np.max(np.abs(residual.values)) <= 1e-10 * scale, hbar
+
+    def test_grids_must_match(self, generic_params, grid129):
+        net = q.build_one_sided_cavity(generic_params)
+        other = q.make_symmetric_grid(5.0, 8)
+        with pytest.raises(q.GridMismatchError, match="grids differ"):
+            q.kubo_check(q.solve_unsym_spectra(net, grid129).s_ff,
+                         q.solve_susceptibilities(net, other).chi_ff, net.units)
 
     def test_mismatched_response_is_caught(self, generic_params, grid129):
         net = q.build_one_sided_cavity(generic_params)

@@ -1,10 +1,16 @@
 """The measuring tools: the pair runner rejects a bad plan before it runs
-anything, and the CLI layer table times the writer inside the process."""
+anything, the CLI layer table times the writer inside the process, and the
+byte record names each column that moved."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qdetnoise import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +71,51 @@ def test_cli_layers_needs_one_repeat(cli_layers, capsys):
         cli_layers.main(["--repeat", "0"])
     assert exit_info.value.code == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def byte_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    spec = importlib.util.spec_from_file_location(
+        "byte_record", ROOT / "tools" / "byte_record.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "byte_record", module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def _nudge(artifact: bytes, fmt: str, column: str, row: int) -> bytes:
+    """The artifact with one cell of a float column moved up by one ulp."""
+    if fmt == "json":
+        doc = json.loads(artifact)
+        doc[column][row] = float(np.nextafter(doc[column][row], np.inf))
+        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
+    lines = artifact.decode("ascii").split("\n")
+    index = lines[1].split(",").index(column)
+    cells = lines[2 + row].split(",")
+    cells[index] = "%.16e" % np.nextafter(float(cells[index]), np.inf)
+    lines[2 + row] = ",".join(cells)
+    return "\n".join(lines).encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_byte_record_names_the_column_a_one_ulp_move_lands_in(byte_record,
+                                                              tmp_path, fmt):
+    out = tmp_path / f"spectra.{fmt}"
+    assert main(["spectra", "--n-half=4", f"--format={fmt}", f"--out={out}"]) == 0
+    run = byte_record.Run(0, "", out.read_bytes())
+    assert byte_record.compare(run, run) == []
+    assert _nudge(run.artifact, fmt, "s_ff_sym", 0) != run.artifact
+    nudged = byte_record.Run(0, "", _nudge(run.artifact, fmt, "s_ff_sym", 3))
+    found = byte_record.compare(run, nudged)
+    assert len(found) == 1 and found[0].startswith("s_ff_sym: 1 of 9 cells moved")
+    relative = float(found[0].split("largest ")[1].split()[0])
+    assert 0.0 < relative < 1e-15
+
+
+def test_byte_record_reports_exit_stderr_and_a_missing_file(byte_record):
+    parent = byte_record.Run(0, "", b"# config: {}\nx\n1\n")
+    change = byte_record.Run(2, "error: out of range\n", None)
+    assert byte_record.compare(parent, change) == [
+        "exit 0 -> 2", "stderr '' -> 'error: out of range\\n'",
+        "file only on the parent"]
