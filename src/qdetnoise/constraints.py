@@ -104,9 +104,10 @@ def _require_valid_detector(susc: SusceptibilitySet) -> None:
             "measurability of the record requires both to vanish")
 
 
-def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms of the gap from one read of the five spectra.
+def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float,
+               signal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of the gap from one read of the five spectra, with the signal
+    |chi_zf|^2 as the caller formed it.
 
     Returns d0 = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2, the signed
     term hbar Im[S_zf^* chi_zf - chi_ff S_zz], and the scale of the gap: the
@@ -114,7 +115,8 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
 
     Non-finite spectra pass through, so their gap is classified a violation.
     Finite spectra whose terms overflow float64 raise ValueError: the input
-    is out of range, not inconsistent.
+    is out of range, not inconsistent. The five terms' finiteness is read
+    only when d0 or the scale is not finite somewhere, to tell the two apart.
     """
     s_zz = spectra.s_zz.values.real
     s_ff = spectra.s_ff.values.real
@@ -124,12 +126,14 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float
     with np.errstate(over="ignore", invalid="ignore"):
         zz_ff = s_zz * s_ff
         zf_sq = np.abs(s_zf) ** 2
-        chi_sq = 0.25 * hbar ** 2 * np.abs(chi_zf) ** 2
+        chi_sq = 0.25 * hbar ** 2 * signal
         im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
         scale = np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
                            np.maximum(chi_sq, np.abs(im_term)))
         d0 = zz_ff - zf_sq - chi_sq
     overflow = ~(np.isfinite(d0) & np.isfinite(scale))
+    if not np.any(overflow):
+        return d0, im_term, scale
     for term in (s_zz, s_ff, s_zf, chi_zf, chi_ff):
         overflow &= np.isfinite(term)
     if np.any(overflow):
@@ -246,12 +250,14 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     units = susc.units
     _require_valid_detector(susc)
     sym = symmetrize(spectra_unsym)
-    d0, im_term, scale = _gap_terms(sym, susc, units.hbar)
+    amplitude = np.abs(susc.chi_zf.values)
+    with np.errstate(over="ignore"):  # an overflow raises in _gap_terms
+        signal = amplitude ** 2
+    d0, im_term, scale = _gap_terms(sym, susc, units.hbar, signal)
     # as amplitudes, since a floor whose square underflows is out of range
-    floor = 0.5 * units.hbar * np.abs(susc.chi_zf.values)
+    floor = 0.5 * units.hbar * amplitude
     _require_signal(susc.grid, np.isfinite(scale)
                     & (floor <= np.sqrt(np.finfo(float).eps * scale)))
-    signal = np.abs(susc.chi_zf.values) ** 2
     gap = d0 - np.abs(im_term)
     return ConstraintReport(
         grid=spectra_unsym.grid,

@@ -43,13 +43,15 @@ at every grid point in batches, where it is 1-2e-15. Both
 routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
 lambda), for the batched solve's n x n systems and for the spectra's
-stacked rows. The spectra block of points [a, b) reads its -omega rows
-from the mirrored rows [W - b, W - a), reversed, and sums only the (z, z),
-(z, f) and (f, f) entries of the form. The controllability Gramian of a
-non-passive network is one dense solve of the vectorised Lyapunov
-equation, n^2 unknowns at O(n^6) time, and does not use the eigenvectors,
-so cond(V) governs only the resolvent. Input states are white: each line
-carries frequency-independent moments (N, M), derived from its InputState.
+block buffer. The spectra block of points [a, b) writes its +omega rows
+and the mirrored rows [W - b, W - a), reversed, for -omega straight into
+that buffer, forms its one kernel product, conjugates the buffer in place
+and sums only the (z, z), (z, f) and (f, f) entries of the form. The
+controllability Gramian of a non-passive network is one dense solve of the
+vectorised Lyapunov equation, n^2 unknowns at O(n^6) time, and does not use
+the eigenvectors, so cond(V) governs only the resolvent. Input states are
+white: each line carries frequency-independent moments (N, M), derived from
+its InputState.
 
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
@@ -343,14 +345,21 @@ def _shared_rows(net: LinearNetwork, grid: FrequencyGrid, half: int
     it. Any other call solves rhs = [B | v_z v_f] in one _observable_rows
     call, returns its half and leaves the other on the network, in place
     of whatever it held. So the second solver on a grid reuses the first
-    one's pass, and once both have run the network holds nothing.
+    one's pass, and once both have run the network holds nothing. When the
+    Gramian overflows, the spectra's call solves rhs = B alone and leaves
+    nothing, and the susceptibilities' call raises its ValueError.
     """
     held = vars(net).pop("_held_rows", None)
     if held is not None and held[0] == half and held[1] == grid:
         return held[2]
     lines = net.n_lines
-    rows = _observable_rows(
-        net, np.column_stack([net.input_coupling, _response_rhs(net)]), grid)
+    try:
+        rhs = np.column_stack([net.input_coupling, _response_rhs(net)])
+    except ValueError:  # the Gramian overflows float64
+        if half:
+            raise
+        return _observable_rows(net, net.input_coupling, grid)
+    rows = _observable_rows(net, rhs, grid)
     halves = (tuple(r[:, :lines] for r in rows), tuple(r[:, lines:] for r in rows))
     vars(net)["_held_rows"] = (1 - half, grid, halves[1 - half])
     return halves[half]
@@ -385,7 +394,10 @@ def solve_susceptibilities(net: LinearNetwork,
     def chi(i: int, j: int) -> ComplexSpectrum:
         s_ij = s[i][:, j]
         dterm = pair[i].mu @ dd @ np.conj(pair[j].mu)
-        vals = (1j / hbar) * (s_ij - np.conj(s_ij[::-1])) - np.imag(dterm) / hbar
+        vals = np.conjugate(s_ij[::-1])
+        np.subtract(s_ij, vals, out=vals)
+        vals *= 1j / hbar
+        vals -= np.imag(dterm) / hbar
         return ComplexSpectrum(grid, vals)
 
     return SusceptibilitySet(
@@ -406,8 +418,9 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     InputState's moments (see the module docstring). Only the three entries
     S_zz, S_zf and S_ff of the (z, f) form are summed. Requires a symmetric
     grid, which supplies row_O(-omega) by reversal. Raises ValueError when a
-    result overflows float64, or the Gramian does: the rows come from the
-    pass shared with ``solve_susceptibilities``.
+    result overflows float64. The rows come from the pass shared with
+    ``solve_susceptibilities``, or from rhs = B alone when the Gramian
+    overflows, since the spectra do not read it.
     """
     grid.require_symmetric("unsymmetrized spectra")
     rows = _shared_rows(net, grid, 0)
@@ -425,12 +438,13 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     for a, b in _blocks(size, 4 * lines):
         x = np.empty((2 * lines, 2, b - a), dtype=complex)
         for o, (row, offset) in enumerate(zip(rows, feed)):
-            x[:lines, o] = (row[a:b] + offset).T
-            x[lines:, o] = np.conj(row[size - b:size - a][::-1] + offset).T
+            np.add(row[a:b].T, offset[:, None], out=x[:lines, o])
+            np.add(row[size - b:size - a][::-1].T, offset[:, None], out=x[lines:, o])
+        np.conjugate(x[lines:], out=x[lines:])
         xk = (kernel_t @ x.reshape(2 * lines, -1)).reshape(x.shape)
-        xc = np.conj(x)
+        xc = np.conjugate(x, out=x)  # in place: the product above has read x
         s_zz[a:b] = np.einsum("kw,kw->w", xk[:, 0], xc[:, 0]).real
-        s_zf[a:b] = np.einsum("kw,kw->w", xk[:, 0], xc[:, 1])
+        np.einsum("kw,kw->w", xk[:, 0], xc[:, 1], out=s_zf[a:b])
         s_ff[a:b] = np.einsum("kw,kw->w", xk[:, 1], xc[:, 1]).real
     return SpectraSet(
         grid=grid,

@@ -1,6 +1,7 @@
 """Quantum-limit checks: gap, residual identities, verdicts, MIMO determinant."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ class TestConstraintReport:
             report = q.constraint_report(doctored, susc)
             assert report.verdicts[i] is q.Verdict.violation
             assert report.worst_verdict is q.Verdict.violation
+
+    def test_doctored_spectra_whose_product_overflows_raise(self, generic_params,
+                                                            grid129):
+        # finite spectra, but S_zz S_ff is about 1e400: out of range, not a violation
+        uns = q.cavity_unsym_spectra(generic_params, grid129)
+        susc = q.cavity_susceptibilities(generic_params, grid129)
+        i = 40
+        s_zz, s_ff = uns.s_zz.values.copy(), uns.s_ff.values.copy()
+        s_zz[i] = s_ff[i] = 1e200
+        doctored = q.SpectraSet(grid=grid129, s_zz=q.ComplexSpectrum(grid129, s_zz),
+                                s_zf=uns.s_zf, s_ff=q.ComplexSpectrum(grid129, s_ff),
+                                symmetrized=False)
+        omega = grid129.points[i]
+        with pytest.raises(ValueError, match=re.escape(
+                f"uncertainty gap overflows float64 at omega={omega:.9g}: "
+                "the input spectra are out of range")):
+            q.constraint_report(doctored, susc)
 
     def test_rejects_symmetrized_input(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)

@@ -611,6 +611,27 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="solve_unsym_spectra overflows float64"):
             q.solve_unsym_spectra(net, grid129)
 
+    def test_gramian_overflow_leaves_the_spectra(self, grid129):
+        # B B^dag = 1e320 overflows the Gramian, but the rows stay of order 1:
+        # the spectra are those of the network rescaled to B = C = 1
+        def network(b, c):
+            return q.LinearNetwork(
+                drift=[[-1.0]], input_coupling=[[b]], output_coupling=[[c]],
+                feedthrough=[[1.0]], input_states=q.InputState.thermal(0.5),
+                force=q.Observable(mode_quad=[c, 0.0], output_quad=[0.0, 0.0]),
+                readout=q.Observable(mode_quad=[0.0, 0.0], output_quad=[1.0, 0.0]))
+
+        net, twin = network(1e160, 1e-160), network(1.0, 1.0)
+        got = q.solve_unsym_spectra(net, grid129)
+        assert not TestSharedPass._holds_rows(net)
+        ref = q.solve_unsym_spectra(twin, grid129)
+        for name in ("s_zz", "s_zf", "s_ff"):
+            assert np.allclose(getattr(got, name).values, getattr(ref, name).values,
+                               rtol=1e-13, atol=0.0), name
+        with pytest.raises(ValueError, match="the Gramian overflows float64"):
+            q.solve_susceptibilities(net, grid129)
+        assert not TestSharedPass._holds_rows(net)
+
 
 class TestEngineAgainstClosedForms:
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -119,3 +119,26 @@ def test_byte_record_reports_exit_stderr_and_a_missing_file(byte_record):
     assert byte_record.compare(parent, change) == [
         "exit 0 -> 2", "stderr '' -> 'error: out of range\\n'",
         "file only on the parent"]
+
+
+def _library_op(seed: int) -> dict:
+    """Named arrays of the kinds a library operation saves."""
+    rng = np.random.default_rng(seed)
+    return {"chi_zf": rng.normal(size=9) + 1j * rng.normal(size=9),
+            "uncertainty_gap": rng.normal(size=9),
+            "verdicts": np.array(["quantum_limited"] * 9)}
+
+
+def test_byte_record_reads_equal_arrays_identical(byte_record):
+    assert byte_record.compare_arrays(_library_op(5), _library_op(5)) == []
+
+
+@pytest.mark.parametrize("name", ["chi_zf", "uncertainty_gap"])
+def test_byte_record_reports_a_one_ulp_move_in_one_array(byte_record, name):
+    parent, change = _library_op(5), _library_op(5)
+    flat = change[name].view(float)  # of a complex array, a cell's real part
+    flat[8] = np.nextafter(flat[8], np.inf)
+    found = byte_record.compare_arrays(parent, change)
+    assert len(found) == 1 and found[0].startswith(f"{name}: 1 of 9 cells moved")
+    relative = float(found[0].split("largest ")[1].split()[0])
+    assert 0.0 < relative < 1e-15

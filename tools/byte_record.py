@@ -1,4 +1,5 @@
-"""Byte record of the CLI artifacts: commit REV against this checkout.
+"""Byte record of the CLI artifacts and library arrays: commit REV against
+this checkout.
 
     python3 tools/byte_record.py --parent REV [--smoke]
 
@@ -6,15 +7,23 @@ Runs one fixed list of ``python -m qdetnoise`` processes on two trees, each
 with that tree's ``src`` first on ``PYTHONPATH``: the files of commit REV,
 exported as ``tools/bench_pairs.py`` exports them, and this checkout as it
 stands. The list is the cli-small and cli-bulk operations of seeds 1-3
-(``perfbench/workloads.py``; with ``--smoke``, its shrunken inputs) and
-``check --input=squeezed:r,0`` for r = 2..10 in CSV and JSON. The MIMO
-inputs are drawn once, by this checkout's engine, and both sides read the
-same bytes. Each side runs in its own temporary directory under the same
-file names, so the ``# config:`` echo lines match.
+(``perfbench/workloads.py``; with ``--smoke``, its shrunken inputs),
+``check --input=squeezed:r,0`` for r = 2..10, and ``spectra
+--single-sided`` on the closed-form (vacuum) and engine (thermal) routes
+and ``qubit``, each in CSV and JSON. The MIMO inputs are drawn once, by
+this checkout's engine, and both sides read the same bytes. Each side runs
+in its own temporary directory under the same file names, so the
+``# config:`` echo lines match.
 
-Per run it prints ``identical``, or each column that moved with its largest
-move relative to the column's peak magnitude, and any change in exit code,
-stderr or the file's presence. It exits 1 on any difference.
+Then one more process per tree runs the lib-network operations of seeds
+1-3 through ``perfbench/worker.py``'s ``run_op`` and saves, per operation,
+the seven engine arrays and the constraint report's five residuals and
+verdicts, or the Kubo residual for the network that is not a detector.
+The two trees' arrays are compared bit for bit.
+
+Per run or operation it prints ``identical``, or each column or array that
+moved with its largest move relative to its peak magnitude, and any change
+in exit code, stderr or the file's presence. It exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -34,6 +43,16 @@ from bench_pairs import ROOT, export, git
 
 SEEDS = (1, 2, 3)
 LADDER = range(2, 11)  # squeezing r of the check ladder
+# runs no workload draws: the single-sided fold on both spectra routes, and
+# qubit in both formats (its workload draw is CSV only)
+FLAGS = (("spectra-single-vacuum", ("spectra", "--single-sided")),
+         ("spectra-single-thermal", ("spectra", "--single-sided",
+                                     "--input=thermal:0.5")),
+         ("qubit", ("qubit",)))
+SUSCEPTIBILITIES = ("chi_zf", "chi_ff", "chi_zz", "chi_fz")
+SPECTRA = ("s_zz", "s_zf", "s_ff")
+REPORT = ("uncertainty_gap", "product_residual", "correlation_residual",
+          "kubo_residual", "positivity_margin")
 
 
 @dataclass(frozen=True)
@@ -67,7 +86,54 @@ def plan(smoke: bool) -> tuple[list[tuple[str, object]], dict]:
             runs.append(("ladder", workloads.CliOp(out, (
                 "check", f"--input=squeezed:{r},0", f"--format={fmt}",
                 f"--out={out}"), out)))
+    for key, argv in FLAGS:
+        for fmt in ("csv", "json"):
+            out = f"{key}.{fmt}"
+            runs.append(("flags", workloads.CliOp(
+                out, (*argv, f"--format={fmt}", f"--out={out}"), out)))
     return runs, files
+
+
+def dump_library(out: str, smoke: bool) -> None:
+    """Save the lib-network arrays of seeds 1-3 to the .npz file ``out``,
+    keyed ``lib-network-SEED/OP/ARRAY``, with this process's qdetnoise."""
+    import qdetnoise as q
+    import worker
+    import workloads
+
+    arrays = {}
+    for seed in SEEDS:
+        for op in workloads.build("lib-network", seed, smoke).ops:
+            _, (susc, spectra, result) = worker.run_op(q, op.spec)
+            found = {name: getattr(susc, name).values for name in SUSCEPTIBILITIES}
+            found |= {name: getattr(spectra, name).values for name in SPECTRA}
+            if isinstance(result, q.ConstraintReport):
+                found |= {name: getattr(result, name) for name in REPORT}
+                found["verdicts"] = np.array([v.value for v in result.verdicts])
+            else:
+                found["kubo_residual"] = result.values.real
+            arrays |= {f"lib-network-{seed}/{op.key}/{name}": value
+                       for name, value in found.items()}
+    np.savez(out, **arrays)
+
+
+def library(tree: Path, out: Path, smoke: bool) -> dict[str, dict]:
+    """The arrays ``dump_library`` saves with ``tree``'s qdetnoise, run in a
+    process of its own, as {operation: {array name: array}}."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(tree / "src"), str(ROOT / "tools"), str(ROOT / "perfbench"),
+        env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", "import sys, byte_record; "
+                    "byte_record.dump_library(sys.argv[1], sys.argv[2] == 'smoke')",
+                    str(out), "smoke" if smoke else "full"],
+                   env=env, check=True)
+    ops: dict[str, dict] = {}
+    with np.load(out, allow_pickle=False) as saved:
+        for key in saved.files:
+            op, _, name = key.rpartition("/")
+            ops.setdefault(op, {})[name] = saved[key]
+    return ops
 
 
 def execute(tree: Path, workdir: Path, op) -> Run:
@@ -102,8 +168,8 @@ def moves(old: list, new: list) -> str | None:
     if not changed:
         return None
     try:
-        a, b = (np.array(col, dtype=float) for col in (old, new))
-    except ValueError:  # a label column, or the config echo
+        a, b = (np.array(col, dtype=complex) for col in (old, new))
+    except (TypeError, ValueError):  # a label column, or the config echo
         i = changed[0]
         return (f"{len(changed)} of {len(old)} cells changed, first {old[i]!r} -> "
                 f"{new[i]!r}")
@@ -133,6 +199,26 @@ def compare(parent: Run, change: Run) -> list[str]:
                 found.append(f"{name}: {move}")
         if not found:
             found.append("bytes differ, values equal")
+    return found
+
+
+def cells(values: np.ndarray) -> list[str]:
+    """An array's cells as text that is equal exactly where the bits are."""
+    return [cell if isinstance(cell, str) else repr(cell) for cell in values.tolist()]
+
+
+def compare_arrays(parent: dict, change: dict) -> list[str]:
+    """The differences between two operations' named arrays; [] if none."""
+    if list(parent) != list(change):
+        return [f"arrays {list(parent)} -> {list(change)}"]
+    found = []
+    for name, old in parent.items():
+        new = change[name]
+        if old.dtype != new.dtype:
+            found.append(f"{name}: dtype {old.dtype} -> {new.dtype}")
+        elif old.shape != new.shape or old.tobytes() != new.tobytes():
+            move = moves(cells(old), cells(new)) or "bytes differ, values equal"
+            found.append(f"{name}: {move}")
     return found
 
 
@@ -170,7 +256,16 @@ def main(argv: list[str] | None = None) -> int:
             status += ", no file" if pair[0].artifact is None else ""
             print(f"{group}/{op.out} ({status}): "
                   + ("; ".join(found) or "identical"), flush=True)
-    print(f"{len(runs)} runs, {len(runs) - differ} identical, {differ} differ")
+        arrays = [library(tree, tmp / side / "lib-network.npz", args.smoke)
+                  for side, tree in trees.items()]
+        for op, named in arrays[0].items():
+            found = compare_arrays(named, arrays[1].get(op, {}))
+            differ += bool(found)
+            print(f"{op} ({len(named)} arrays): "
+                  + ("; ".join(found) or "identical"), flush=True)
+    total = len(runs) + len(arrays[0])
+    print(f"{len(runs)} runs and {len(arrays[0])} library operations, "
+          f"{total - differ} identical, {differ} differ")
     return 1 if differ else 0
 
 

@@ -1,14 +1,16 @@
-"""Wall time and traced peak memory of the engine's two solvers, per layer case.
+"""Wall time and traced peak memory of the engine's two solvers and the
+audit, per layer case.
 
     python3 tools/engine_layers.py [--src DIR] [--points 129 10001 200001]
         [--modes 1 4 16] [--paths eigen fallback]
 
 For each case it builds a passive network with two input lines and a
 thermal input, in the same way as the lib-network workload, and runs
-``solve_susceptibilities`` and then ``solve_unsym_spectra`` on a symmetric
-grid. The ``fallback`` path raises the network's resolvent to the batched
-solve by setting ``netsolve._MAX_MODE_COND`` below 1, so every drift counts
-as ill-conditioned. ``cond_v`` is the drift's eigenvector condition
+``solve_susceptibilities``, then ``solve_unsym_spectra`` on a symmetric
+grid, then ``constraint_report`` on their results. The ``fallback`` path
+raises the network's resolvent to the batched solve by setting
+``netsolve._MAX_MODE_COND`` below 1, so every drift counts as
+ill-conditioned. ``cond_v`` is the drift's eigenvector condition
 number, which the eigen path is bounded by (``netsolve._MAX_MODE_COND``),
 computed before the timed runs.
 
@@ -16,12 +18,14 @@ The two solvers share one resolvent pass per network and grid, and the
 first to run computes it. So ``susceptibilities_s`` holds the whole pass
 and ``spectra_s`` only the spectra form; ``pair_s`` is both solvers, one
 after the other, on a network built fresh for each run, and is the cost of
-a solve. Times are the best of three untraced runs. ``peak_mb`` is the
-tracemalloc peak of one more run of both solvers, with both results held
-to the end. The networks and grid are built, and the drift diagonalised,
-before each timed run. The package is imported from the ``src`` of
-``--src``, this checkout by default, so one script can measure two trees.
-One markdown table row is printed per case.
+a solve; ``report_s`` is ``constraint_report`` on that pair's results, so
+the audit's share of lib-network's path shows beside the solve. Times are
+the best of three untraced runs. ``peak_mb`` is the tracemalloc peak of
+one more run of both solvers, with both results held to the end. The
+networks and grid are built, and the drift diagonalised, before each timed
+run. The package is imported from the ``src`` of ``--src``, this checkout
+by default, so one script can measure two trees. One markdown table row
+is printed per case.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def measure(q, n_modes: int, points: int) -> dict:
     net = network(q, n_modes, np.random.default_rng(n_modes))
     cond_v = np.linalg.cond(np.linalg.eig(net.drift)[1])
     grid = q.make_symmetric_grid(5.0, points // 2)
-    times = {"susceptibilities_s": [], "spectra_s": [], "pair_s": []}
+    times = {"susceptibilities_s": [], "spectra_s": [], "pair_s": [], "report_s": []}
     for _ in range(3):
         start = perf_counter()
         q.solve_susceptibilities(net, grid)
@@ -65,9 +69,12 @@ def measure(q, n_modes: int, points: int) -> dict:
         times["spectra_s"].append(perf_counter() - mid)
         fresh = network(q, n_modes, np.random.default_rng(n_modes))
         start = perf_counter()
-        q.solve_susceptibilities(fresh, grid)
-        q.solve_unsym_spectra(fresh, grid)
-        times["pair_s"].append(perf_counter() - start)
+        susc = q.solve_susceptibilities(fresh, grid)
+        spectra = q.solve_unsym_spectra(fresh, grid)
+        mid = perf_counter()
+        q.constraint_report(spectra, susc)
+        times["pair_s"].append(mid - start)
+        times["report_s"].append(perf_counter() - mid)
     tracemalloc.start()
     results = (q.solve_susceptibilities(net, grid), q.solve_unsym_spectra(net, grid))
     peak = tracemalloc.get_traced_memory()[1]
@@ -91,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     from qdetnoise import netsolve
 
     print("| path | modes | points | cond_v | susceptibilities_s | spectra_s "
-          "| pair_s | peak_mb |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| pair_s | report_s | peak_mb |")
+    print("|---|---|---|---|---|---|---|---|---|")
     default_cond = netsolve._MAX_MODE_COND
     for path in args.paths:
         netsolve._MAX_MODE_COND = default_cond if path == "eigen" else -1.0
@@ -101,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                 row = measure(q, n_modes, points)
                 print(f"| {path} | {n_modes} | {points} | {row['cond_v']:.3g} | "
                       f"{row['susceptibilities_s']:.4g} | {row['spectra_s']:.4g} | "
-                      f"{row['pair_s']:.4g} | {row['peak_mb']:.1f} |", flush=True)
+                      f"{row['pair_s']:.4g} | {row['report_s']:.4g} | "
+                      f"{row['peak_mb']:.1f} |", flush=True)
     return 0
 
 
