@@ -14,72 +14,53 @@ Layer map:
 * :mod:`qdetnoise.constraints` quantum-limit checks, SISO and MIMO
 * :mod:`qdetnoise.apps`        qubit readout and sideband thermometry
 * :mod:`qdetnoise.cli`         reproducible batch runs
+
+Importing the package loads none of these modules. A public name loads its
+module on first access (PEP 562), so a process pays only for the layers it
+uses; a submodule is reachable as an attribute all the same.
 """
 
-import types as _types
+import importlib as _importlib
 
-from .apps import (
-    AsymmetryResult,
-    QubitReadoutResult,
-    asymmetry_grid,
-    closed_loop_poles,
-    modified_mech_susceptibility,
-    optimal_angle,
-    qubit_rates,
-    sideband_asymmetry,
-    thermal_force_spectrum,
-)
-from .cavity import (
-    NormalizedSpectra,
-    SpectraSet,
-    SusceptibilitySet,
-    cavity_spectra,
-    cavity_susceptibilities,
-    cavity_unsym_spectra,
-    normalize,
-    response_denominator,
-)
-from .cli import RunConfig, main, parse_config, parse_input_state
-from .constraints import (
-    ConstraintReport,
-    Verdict,
-    assemble_mimo_matrix,
-    constraint_report,
-    mimo_quantum_limit,
-)
-from .core import (
-    CavityParams,
-    ComplexSpectrum,
-    FrequencyGrid,
-    InputState,
-    MechOscillator,
-    UnitConvention,
-    make_symmetric_grid,
-)
-from .errors import (
-    DegenerateReadoutError,
-    GridMismatchError,
-    InvalidMatrixError,
-    NotAValidDetectorError,
-    OpticalSpringInstabilityError,
-    QDetNoiseError,
-    SingularNormalizationError,
-    StabilityError,
-)
-from .netsolve import (
-    LinearNetwork,
-    Observable,
-    build_one_sided_cavity,
-    kubo_check,
-    passive_network,
-    solve_susceptibilities,
-    solve_unsym_spectra,
-    symmetrize,
-)
+# each module and the public names it defines
+_EXPORTS = {
+    "apps": ("AsymmetryResult", "QubitReadoutResult", "asymmetry_grid",
+             "closed_loop_poles", "modified_mech_susceptibility",
+             "optimal_angle", "qubit_rates", "sideband_asymmetry",
+             "thermal_force_spectrum"),
+    "cavity": ("NormalizedSpectra", "SpectraSet", "SusceptibilitySet",
+               "cavity_spectra", "cavity_susceptibilities",
+               "cavity_unsym_spectra", "normalize", "response_denominator"),
+    "cli": ("RunConfig", "main", "parse_config", "parse_input_state"),
+    "constraints": ("ConstraintReport", "Verdict", "assemble_mimo_matrix",
+                    "constraint_report", "mimo_quantum_limit"),
+    "core": ("CavityParams", "ComplexSpectrum", "FrequencyGrid", "InputState",
+             "MechOscillator", "UnitConvention", "make_symmetric_grid"),
+    "errors": ("DegenerateReadoutError", "GridMismatchError",
+               "InvalidMatrixError", "NotAValidDetectorError",
+               "OpticalSpringInstabilityError", "QDetNoiseError",
+               "SingularNormalizationError", "StabilityError"),
+    "netsolve": ("LinearNetwork", "Observable", "build_one_sided_cavity",
+                 "kubo_check", "passive_network", "solve_susceptibilities",
+                 "solve_unsym_spectra", "symmetrize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_MODULE_OF)
 
-# the public names are the classes and functions imported above
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not (name.startswith("_") or isinstance(value, _types.ModuleType)))
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    elif name in _EXPORTS:
+        value = _importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

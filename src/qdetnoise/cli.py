@@ -16,7 +16,9 @@ survives the argv round trip.  One parser takes the command and the full
 flag set, in any order.  ``_COMMANDS`` names the fields each command reads
 (``--format`` and ``--out`` belong to all); :func:`main` refuses a run that
 sets any other field away from its default, so the ``# config:`` echo never
-records a setting its numbers ignore.  Output files are
+records a setting its numbers ignore.  Each command imports the library
+layers it calls when it runs, so a process loads only its own command's
+modules.  Output files are
 byte-deterministic: no timestamps, fixed float formatting, a single
 ``# config:`` echo line as the only metadata.  One writer, ``_write``,
 produces both formats.
@@ -45,23 +47,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._format import format_e16, format_repr
-from .apps import asymmetry_grid, qubit_rates, sideband_asymmetry
-from .cavity import cavity_spectra, cavity_susceptibilities, normalize
-from .constraints import Verdict, constraint_report, mimo_quantum_limit
 from .core import (CavityParams, ComplexSpectrum, InputState, MechOscillator,
                    make_symmetric_grid)
 from .errors import GridMismatchError, InvalidMatrixError, QDetNoiseError
-from .netsolve import (
-    build_one_sided_cavity,
-    solve_susceptibilities,
-    solve_unsym_spectra,
-    symmetrize,
-)
 
 _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
-_VERDICTS = list(Verdict)
-_VERDICT_LABELS = np.array([v.value for v in _VERDICTS], dtype="S")
 
 
 def _option(default, help: str, flag: str | None = None, **parser_kwargs):
@@ -235,8 +226,12 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     at a time, a float column by :func:`._format.format_repr`.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells = {name: (_VERDICT_LABELS[np.fromiter(map(_VERDICTS.index, col),
-                                                np.intp, len(col))]
+    if "verdict" in columns:
+        # loaded already, by the command whose audit gave the verdicts
+        from .constraints import Verdict
+        members = list(Verdict)
+        labels = np.array([v.value for v in members], dtype="S")
+    cells = {name: (labels[np.fromiter(map(members.index, col), np.intp, len(col))]
                     if name == "verdict" else np.asarray(col, dtype=float))
              for name, col in columns.items()}
     for name, col in cells.items():
@@ -341,6 +336,8 @@ def _oscillator(cfg: RunConfig) -> MechOscillator:
 
 
 def cmd_spectra(cfg: RunConfig) -> int:
+    from .cavity import cavity_spectra, cavity_susceptibilities, normalize
+
     params = _cavity_params(cfg)
     grid = make_symmetric_grid(cfg.omega_max, cfg.n_half)
     state = parse_input_state(cfg.input_state)
@@ -348,6 +345,9 @@ def cmd_spectra(cfg: RunConfig) -> int:
         susc = cavity_susceptibilities(params, grid)
         sym = cavity_spectra(params, grid)
     else:
+        from .netsolve import (build_one_sided_cavity, solve_susceptibilities,
+                               solve_unsym_spectra, symmetrize)
+
         net = build_one_sided_cavity(params, input_state=state)
         susc = solve_susceptibilities(net, grid)
         sym = symmetrize(solve_unsym_spectra(net, grid))
@@ -378,6 +378,10 @@ def cmd_spectra(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    from .constraints import Verdict, constraint_report
+    from .netsolve import (build_one_sided_cavity, solve_susceptibilities,
+                           solve_unsym_spectra)
+
     params = _cavity_params(cfg)
     grid = make_symmetric_grid(cfg.omega_max, cfg.n_half)
     state = parse_input_state(cfg.input_state)
@@ -399,11 +403,15 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_qubit(cfg: RunConfig) -> int:
+    from .apps import qubit_rates
+
     _write(cfg, {}, dataclasses.asdict(qubit_rates(_cavity_params(cfg))))
     return 0
 
 
 def cmd_mech(cfg: RunConfig) -> int:
+    from .apps import asymmetry_grid, sideband_asymmetry
+
     params = _cavity_params(cfg)
     osc = _oscillator(cfg)
     grid = asymmetry_grid(params, osc, window_halfwidth=cfg.window_halfwidth,
@@ -446,6 +454,8 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_mimo_check(cfg: RunConfig) -> int:
+    from .constraints import mimo_quantum_limit
+
     if cfg.mimo_input is None:
         raise ValueError("mimo-check requires --mimo-input <file>")
     omega, blocks = _read_mimo_blocks(Path(cfg.mimo_input))

@@ -82,6 +82,8 @@ class FrequencyGrid:
         return self.points.size
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # the points are finite, so equal to themselves
+            return True
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
         return self.points.shape == other.points.shape and bool(

@@ -1,5 +1,6 @@
 """The package surface: its exported names, its imports and its scripts."""
 
+import gc
 import re
 import runpy
 import subprocess
@@ -120,6 +121,75 @@ def test_public_names_are_pinned():
     ]
     for name in q.__all__:
         assert getattr(q, name) is not None, name
+
+
+_LAZY_IMPORT = """
+import sys
+import qdetnoise as q
+
+def loaded():
+    return {name for name in sys.modules if name.startswith("qdetnoise.")}
+
+assert loaded() == set(), loaded()
+assert set(q.__all__) <= set(dir(q))
+assert q.cli is sys.modules["qdetnoise.cli"]
+assert q.netsolve is sys.modules["qdetnoise.netsolve"]
+"""
+
+# each command's runs, then the modules that none of them may load
+_COMMAND_MODULES = """
+import sys
+from qdetnoise.cli import main
+for argv in RUNS:
+    assert main([*argv, "--out=" + argv[0] + ".csv"]) == 0, argv
+loaded = {name for name in sys.modules if name.startswith("qdetnoise.")}
+assert not loaded & UNUSED, loaded & UNUSED
+"""
+
+
+def test_import_loads_no_submodule(tmp_path):
+    _run_fresh(_LAZY_IMPORT, tmp_path)
+
+
+@pytest.mark.parametrize("runs,unused", [
+    ([["qubit"], ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3"],
+      ["spectra", "--n-half=8"]], {"qdetnoise.netsolve", "qdetnoise.constraints"}),
+    ([["check", "--n-half=8"]], {"qdetnoise.apps"}),
+], ids=["qubit-mech-vacuum-spectra", "check"])
+def test_commands_load_only_their_layers(runs, unused, tmp_path):
+    _run_fresh(f"RUNS = {runs!r}\nUNUSED = {unused!r}\n" + _COMMAND_MODULES,
+               tmp_path)
+
+
+def test_each_name_is_its_modules_object():
+    for name in q.__all__:
+        value = getattr(q, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_unknown_name_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        q.no_such_name
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    assert gc.get_freeze_count() == 0
+    assert q.main(["qubit", f"--out={tmp_path / 'qubit.csv'}"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_process_entry_freezes_the_import(tmp_path):
+    # runs the entry as python -m qdetnoise does
+    _run_fresh("""
+import gc, runpy, sys
+sys.argv = ["qdetnoise", "qubit"]
+try:
+    runpy.run_module("qdetnoise", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert gc.get_freeze_count() > 0
+""", tmp_path)
+    assert (tmp_path / "qubit.csv").exists()
 
 
 @pytest.mark.parametrize("script,args,header,n_rows", [

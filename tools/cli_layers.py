@@ -4,15 +4,20 @@
 
 For each operation of the cli-small and cli-bulk cycles of one seed
 (``perfbench/workloads.py``, with ``--smoke`` its shrunken inputs), it
-starts fresh Python processes that import ``qdetnoise.cli`` and call
-``cli.main`` on the operation's arguments, in a temporary directory that
-holds the cycle's input files.
-``import_s`` is the import of ``qdetnoise.cli``; ``serialise_s`` is the
-time inside ``cli._write``, which the process wraps with a timer before the
-call; ``compute_s`` is the rest of ``main``: argument parsing, reading
-inputs, the library and the checks. ``peak_mb`` is the process's own peak
-resident set size (``VmHWM``; ``ru_maxrss`` would also count the forking
-parent's). Each figure is the median of ``--repeat`` processes.
+starts fresh Python processes that import ``qdetnoise.cli`` and run the
+operation's arguments through ``qdetnoise.__main__.run``, the entry of
+``python -m qdetnoise``, in a temporary directory that holds the cycle's
+input files.
+``import_s`` is the import of ``qdetnoise.cli`` alone; each command loads
+its own library modules when it runs, inside ``compute_s``.
+``serialise_s`` is the time inside ``cli._write``, which the process wraps
+with a timer before the call; ``compute_s`` is the rest of the run:
+argument parsing, the command's imports, reading inputs, the library and
+the checks. ``process_s`` is the whole process, timed by this script from
+spawn to exit, so it also holds interpreter start-up and shutdown, where
+the entry's ``gc.freeze`` saves its time. ``peak_mb`` is the process's own
+peak resident set size (``VmHWM``; ``ru_maxrss`` would also count the
+forking parent's). Each figure is the median of ``--repeat`` processes.
 The package, and the engine that writes the MIMO input files, are imported
 from the ``src`` of ``--src``, this checkout by default, so one script can
 measure two trees. One markdown table row is printed per operation.
@@ -26,10 +31,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COLUMNS = ("import_s", "compute_s", "serialise_s", "peak_mb")
+COLUMNS = ("import_s", "compute_s", "serialise_s", "process_s", "peak_mb")
 
 # Runs in each measured process: argv[1] is the src directory, the rest is
 # the command line after ``qdetnoise``.
@@ -49,7 +55,9 @@ def timed(*args, **kwargs):
     finally:
         spent += time.perf_counter() - begin
 cli._write = timed
-code = cli.main(sys.argv[2:])
+import qdetnoise.__main__ as entry
+sys.argv[:] = ["qdetnoise", *sys.argv[2:]]
+code = getattr(entry, "run", cli.main)()  # a tree older than run() calls main
 done = time.perf_counter()
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) / 1024
@@ -61,13 +69,15 @@ print(json.dumps({"exit": code, "import_s": imported - start, "serialise_s": spe
 def measure(src: Path, workdir: Path, argv: tuple[str, ...], repeat: int) -> dict:
     runs = []
     for _ in range(repeat):
+        begin = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv],
                               cwd=workdir, capture_output=True, text=True)
+        process_s = time.perf_counter() - begin
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or not lines:
             raise RuntimeError(f"{' '.join(argv)} exited with {proc.returncode}: "
                                f"{proc.stderr.strip()[-500:]}")
-        runs.append(json.loads(lines[-1]))
+        runs.append(json.loads(lines[-1]) | {"process_s": process_s})
     return {"exit": runs[0]["exit"]} | {
         name: statistics.median(run[name] for run in runs) for name in COLUMNS}
 
@@ -101,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
                 row = measure(src, workdir, op.argv, args.repeat)
                 print(f"| {workload} | {op.out} | {row['exit']} | "
                       f"{row['import_s']:.4f} | {row['compute_s']:.4f} | "
-                      f"{row['serialise_s']:.4f} | {row['peak_mb']:.1f} |", flush=True)
+                      f"{row['serialise_s']:.4f} | {row['process_s']:.4f} | "
+                      f"{row['peak_mb']:.1f} |", flush=True)
     return 0
 
 
