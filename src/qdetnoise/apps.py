@@ -24,7 +24,7 @@ import numpy as np
 
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, MechOscillator,
-                   _require_count, _require_width)
+                   _adopt, _require_count, _require_width)
 from .errors import (
     DegenerateReadoutError,
     GridMismatchError,
@@ -145,7 +145,7 @@ def modified_mech_susceptibility(
             f"dressed mechanical response diverges at omega={omega_bad:.9g}: "
             "closed-loop pole on the real axis"
         )
-    return ComplexSpectrum(chi_ff.grid, chi0.values / den)
+    return _adopt(chi_ff.grid, chi0.values / den)
 
 
 def thermal_force_spectrum(osc: MechOscillator, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -170,7 +170,7 @@ def thermal_force_spectrum(osc: MechOscillator, grid: FrequencyGrid) -> ComplexS
         weight[small] = (2.0 * temp / hbar) * (1.0 + x[small] ** 2 / 3.0)
         weight[~small] = omega[~small] / np.tanh(x[~small])
     values = hbar * osc.mass * osc.gamma_m * weight
-    return ComplexSpectrum(grid, values.astype(complex))
+    return _adopt(grid, values.astype(complex))
 
 
 def closed_loop_poles(params: CavityParams, osc: MechOscillator) -> np.ndarray:
@@ -221,7 +221,7 @@ def _total_and_floor(
         + 2.0 * (np.conj(chi_q.values) * norm.cross.values).real
         + np.abs(chi_q.values) ** 2 * force
     )
-    return ComplexSpectrum(grid, total.astype(complex)), floor
+    return _adopt(grid, total.astype(complex)), floor
 
 
 def sideband_asymmetry(

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CavityParams, ComplexSpectrum, FrequencyGrid, UnitConvention
+from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, UnitConvention,
+                   _adopt)
 from .errors import SingularNormalizationError
 
 _IMAG_TOL = 1e-12
@@ -52,7 +53,7 @@ class SpectraSet:
     With symmetrized=False the entries are the double-sided spectra
     S_AB(omega); with symmetrized=True they are the even combinations
     [S_AB(omega) + S_BA(-omega)] / 2, whose diagonal entries must be real
-    and non-negative.
+    and non-negative, each to _IMAG_TOL of its own largest value.
     """
 
     grid: FrequencyGrid
@@ -68,11 +69,12 @@ class SpectraSet:
                 raise ValueError(f"{name} lives on a different grid")
         if self.symmetrized:
             for name, spec in (("s_zz", self.s_zz), ("s_ff", self.s_ff)):
-                if np.max(np.abs(spec.values.imag)) > _IMAG_TOL:
-                    raise ValueError(
-                        f"symmetrized {name} has imaginary residue above {_IMAG_TOL}")
-                scale = 1.0 + np.max(spec.values.real, initial=0.0)
-                if np.min(spec.values.real) < -_IMAG_TOL * scale:
+                # against the spectrum's own peak, so the same in any units
+                limit = _IMAG_TOL * np.max(spec.values.real, initial=0.0)
+                if np.max(np.abs(spec.values.imag)) > limit:
+                    raise ValueError(f"symmetrized {name} has imaginary residue "
+                                     f"above {_IMAG_TOL} of its peak")
+                if np.min(spec.values.real) < -limit:
                     raise ValueError(f"symmetrized {name} must be non-negative")
 
 
@@ -134,13 +136,12 @@ def cavity_susceptibilities(params: CavityParams,
     den = response_denominator(w, g, d)
     chi_zf = -2.0 * gb * np.sqrt(g) * (d * np.cos(th) + (1j * w - g) * np.sin(th)) / den
     chi_ff = 2.0 * hbar * gb ** 2 * d / den
-    zero = np.zeros_like(w, dtype=complex)
     return SusceptibilitySet(
         grid=grid,
-        chi_zf=ComplexSpectrum(grid, chi_zf),
-        chi_ff=ComplexSpectrum(grid, chi_ff),
-        chi_zz=ComplexSpectrum(grid, zero),
-        chi_fz=ComplexSpectrum(grid, zero),
+        chi_zf=_adopt(grid, chi_zf),
+        chi_ff=_adopt(grid, chi_ff),
+        chi_zz=_adopt(grid, np.zeros_like(w, dtype=complex)),
+        chi_fz=_adopt(grid, np.zeros_like(w, dtype=complex)),
         units=params.units,
     )
 
@@ -158,9 +159,9 @@ def cavity_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSet:
             / (((w - d) ** 2 + g ** 2) * ((w + d) ** 2 + g ** 2)))
     return SpectraSet(
         grid=grid,
-        s_zz=ComplexSpectrum(grid, s_zz),
-        s_zf=ComplexSpectrum(grid, s_zf),
-        s_ff=ComplexSpectrum(grid, s_ff.astype(complex)),
+        s_zz=_adopt(grid, s_zz),
+        s_zf=_adopt(grid, s_zf),
+        s_ff=_adopt(grid, s_ff.astype(complex)),
         symmetrized=True,
     )
 
@@ -183,9 +184,9 @@ def cavity_unsym_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSe
     s_ff = (2.0 * hbar ** 2 * gb ** 2 * g / (g ** 2 + (w + d) ** 2)).astype(complex)
     return SpectraSet(
         grid=grid,
-        s_zz=ComplexSpectrum(grid, s_zz),
-        s_zf=ComplexSpectrum(grid, s_zf),
-        s_ff=ComplexSpectrum(grid, s_ff),
+        s_zz=_adopt(grid, s_zz),
+        s_zf=_adopt(grid, s_zf),
+        s_ff=_adopt(grid, s_ff),
         symmetrized=False,
     )
 
@@ -212,8 +213,7 @@ def normalize(spectra: SpectraSet, susc: SusceptibilitySet) -> NormalizedSpectra
     _require_signal(spectra.grid, np.abs(chi) < 1e-300)
     return NormalizedSpectra(
         grid=spectra.grid,
-        imprecision=ComplexSpectrum(spectra.grid,
-                                    spectra.s_zz.values / np.abs(chi) ** 2),
-        cross=ComplexSpectrum(spectra.grid, spectra.s_zf.values / chi),
+        imprecision=_adopt(spectra.grid, spectra.s_zz.values / np.abs(chi) ** 2),
+        cross=_adopt(spectra.grid, spectra.s_zf.values / chi),
         force=spectra.s_ff,
     )

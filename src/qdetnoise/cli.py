@@ -226,13 +226,8 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     at a time, a float column by :func:`._format.format_repr`.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    if "verdict" in columns:
-        # loaded already, by the command whose audit gave the verdicts
-        from .constraints import Verdict
-        members = list(Verdict)
-        labels = np.array([v.value for v in members], dtype="S")
-    cells = {name: (labels[np.fromiter(map(members.index, col), np.intp, len(col))]
-                    if name == "verdict" else np.asarray(col, dtype=float))
+    cells = {name: (_verdict_labels(col) if name == "verdict"
+                    else np.asarray(col, dtype=float))
              for name, col in columns.items()}
     for name, col in cells.items():
         if col.dtype == float and not np.isfinite(col).all():
@@ -244,11 +239,25 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     else:
         doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
         if "verdict" in columns:
+            from .constraints import Verdict
             doc["worst_verdict"] = Verdict.worst(columns["verdict"]).value
         chunks = _json_chunks(doc)
     with _output_path(cfg).open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
+
+
+def _verdict_labels(col: Sequence) -> np.ndarray:
+    """The value of each Verdict in ``col`` as one zero-padded label array
+    (``dtype="S"``), indexed by the rank that comparing the whole column
+    with each member in turn finds."""
+    # loaded already, by the command whose audit gave the verdicts
+    from .constraints import _BY_RANK
+    found = np.asarray(col, dtype=object) == _BY_RANK[:, None]
+    if not found.any(axis=0).all():
+        raise TypeError("a verdict column holds Verdict members only")
+    labels = np.array([v.value for v in _BY_RANK], dtype="S")
+    return labels[np.argmax(found, axis=0)]
 
 
 def _labels(block: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .cavity import SpectraSet, SusceptibilitySet, _require_signal
 from .core import FrequencyGrid, UnitConvention
 from .errors import InvalidMatrixError, NotAValidDetectorError
-from .netsolve import kubo_check, symmetrize
+from .netsolve import _kubo_residual, symmetrize
 
 # Relative tolerance of the gap and determinant verdicts, of the
 # valid-detector premise and of a MIMO block's positive semidefiniteness.
@@ -47,8 +47,9 @@ _BY_RANK = np.array(list(Verdict), dtype=object)
 
 
 def classify_verdicts(gap: np.ndarray, threshold: np.ndarray | float
-                      ) -> tuple[Verdict, ...]:
-    """Classify each gap against its threshold.
+                      ) -> np.ndarray:
+    """Classify each gap against its threshold, as an object array of
+    Verdict members, one per gap.
 
     quantum_limited where |gap| <= threshold, above_limit where
     gap > threshold, and violation where gap < -threshold or where the gap or
@@ -57,7 +58,7 @@ def classify_verdicts(gap: np.ndarray, threshold: np.ndarray | float
     finite = np.isfinite(gap) & np.isfinite(threshold)
     rank = np.where(~finite | (gap < -threshold), 2,
                     np.where(gap > threshold, 1, 0))
-    return tuple(_BY_RANK[rank].tolist())
+    return _BY_RANK[rank]
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,15 @@ class ConstraintReport:
     correlation_residual: phase condition tying the referred cross spectrum to
                           dynamical back action, -I / (hbar |chi_zf|^2) (zero
                           at the quantum limit)
-    kubo_residual:        fluctuation-dissipation residual of the force noise
+    kubo_residual:        fluctuation-dissipation residual of the force noise,
+                          the real part of ``kubo_check``'s
     positivity_margin:    S_ff_sym - hbar |Im chi_ff|, the smaller of
                           S_ff(+omega) and S_ff(-omega); negative values are
                           unphysical, and it nearly vanishes for a
                           resolved-sideband cavity at the probed sideband
+    verdicts:             the Verdict of each frequency, an object array
+                          like the other fields' float arrays (any sequence
+                          of members also serves ``worst_verdict``)
     """
 
     grid: FrequencyGrid
@@ -86,15 +91,16 @@ class ConstraintReport:
     correlation_residual: np.ndarray
     kubo_residual: np.ndarray
     positivity_margin: np.ndarray
-    verdicts: tuple[Verdict, ...]
+    verdicts: np.ndarray
 
     @property
     def worst_verdict(self) -> Verdict:
         return Verdict.worst(self.verdicts)
 
 
-def _require_valid_detector(susc: SusceptibilitySet) -> None:
-    floor = _TOL * max(np.max(np.abs(susc.chi_zf.values)), 1e-300)
+def _require_valid_detector(susc: SusceptibilitySet, amplitude: np.ndarray) -> None:
+    """Raise unless chi_zz and chi_fz vanish beside ``amplitude``, |chi_zf|."""
+    floor = _TOL * max(np.max(amplitude), 1e-300)
     worst = max(np.max(np.abs(susc.chi_zz.values)),
                 np.max(np.abs(susc.chi_fz.values)))
     if worst > floor:
@@ -172,9 +178,9 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
 
 
 def mimo_quantum_limit(spectral_matrix: np.ndarray
-                       ) -> tuple[np.ndarray, tuple[Verdict, ...]]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Determinant and verdict per frequency of an (n_omega, 2N, 2N) stack of
-    spectral matrices.
+    spectral matrices, as two arrays; the verdicts are classify_verdicts'.
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
     thermal admixtures push it strictly positive. Each determinant is judged
@@ -248,9 +254,9 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
         raise ValueError(f"units {units} differ from the susceptibilities' "
                          f"{susc.units}")
     units = susc.units
-    _require_valid_detector(susc)
-    sym = symmetrize(spectra_unsym)
     amplitude = np.abs(susc.chi_zf.values)
+    _require_valid_detector(susc, amplitude)
+    sym = symmetrize(spectra_unsym)
     with np.errstate(over="ignore"):  # an overflow raises in _gap_terms
         signal = amplitude ** 2
     d0, im_term, scale = _gap_terms(sym, susc, units.hbar, signal)
@@ -264,7 +270,7 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
         uncertainty_gap=gap,
         product_residual=d0 / signal,
         correlation_residual=-im_term / (units.hbar * signal),
-        kubo_residual=kubo_check(spectra_unsym.s_ff, susc.chi_ff, units).values.real,
+        kubo_residual=_kubo_residual(spectra_unsym.s_ff, susc.chi_ff, units),
         positivity_margin=(sym.s_ff.values.real
                            - units.hbar * np.abs(susc.chi_ff.values.imag)),
         verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300)),

@@ -122,20 +122,43 @@ def make_symmetric_grid(omega_max: float, n_half: int) -> FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class ComplexSpectrum:
-    """Complex values sampled on a FrequencyGrid, held as a read-only copy."""
+    """Complex values sampled on a FrequencyGrid, held as a read-only copy.
+
+    The copy keeps a caller's own array writeable. The library's solvers
+    and closed forms wrap the buffers they have just built with
+    ``_adopt``, which freezes the buffer itself instead.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=complex)
-        if vals.shape != self.grid.points.shape:
-            raise GridMismatchError(
-                f"values shape {vals.shape} does not match grid of "
-                f"{self.grid.points.size} points"
-            )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           _frozen(self.grid, np.array(self.values, dtype=complex)))
+
+
+def _frozen(grid: FrequencyGrid, vals: np.ndarray) -> np.ndarray:
+    """``vals`` made read-only in place, once its shape matches ``grid``."""
+    if vals.shape != grid.points.shape:
+        raise GridMismatchError(
+            f"values shape {vals.shape} does not match grid of "
+            f"{grid.points.size} points"
+        )
+    vals.flags.writeable = False
+    return vals
+
+
+def _adopt(grid: FrequencyGrid, buffer: np.ndarray) -> ComplexSpectrum:
+    """ComplexSpectrum holding ``buffer`` itself, frozen and not copied.
+
+    ``buffer`` is a complex128 array the library has just built and holds
+    no other reference to.
+    """
+    if buffer.dtype != complex:
+        raise TypeError(f"an adopted buffer must be complex128, got {buffer.dtype}")
+    spectrum = object.__new__(ComplexSpectrum)
+    vars(spectrum).update(grid=grid, values=_frozen(grid, buffer))
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,7 @@ class MechOscillator:
         """Mechanical response 1 / [m (omega_m^2 - omega^2 - i gamma_m omega)]."""
         w = grid.points
         den = self.mass * (self.omega_m ** 2 - w ** 2 - 1j * self.gamma_m * w)
-        return ComplexSpectrum(grid, 1.0 / den)
+        return _adopt(grid, 1.0 / den)
 
 
 @dataclass(frozen=True)

@@ -45,13 +45,21 @@ temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
 lambda), for the batched solve's n x n systems and for the spectra's
 block buffer. The spectra block of points [a, b) writes its +omega rows
 and the mirrored rows [W - b, W - a), reversed, for -omega straight into
-that buffer, forms its one kernel product, conjugates the buffer in place
-and sums only the (z, z), (z, f) and (f, f) entries of the form. The
+that buffer, forms its one kernel product into a second buffer, conjugates
+the first in place and sums only the (z, z), (z, f) and (f, f) entries of
+the form; the two buffers are allocated once and reused by every block. The
 controllability Gramian of a non-passive network is one dense solve of the
 vectorised Lyapunov equation, n^2 unknowns at O(n^6) time, and does not use
 the eigenvectors, so cond(V) governs only the resolvent. Input states are
 white: each line carries frequency-independent moments (N, M), derived from
 its InputState.
+
+Every result array is built once. Each solver, ``symmetrize`` and
+``kubo_check`` wrap the buffer they have just filled with ``core._adopt``,
+which freezes it in place instead of copying it; the spectra form writes
+the real S_zz and S_ff into complex buffers, whose imaginary parts are set
+to zero. An Observable's coefficients alpha and mu are computed once, as
+read-only arrays.
 
 This module is the independent oracle for the closed forms in ``cavity`` and
 the only route to thermal/squeezed inputs and multi-mode networks.
@@ -66,7 +74,7 @@ import numpy as np
 
 from .cavity import SpectraSet, SusceptibilitySet, _in_float64_range
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
-                   UnitConvention)
+                   UnitConvention, _adopt)
 from .errors import GridMismatchError, StabilityError
 
 _SQRT2 = np.sqrt(2.0)
@@ -102,17 +110,22 @@ class Observable:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
+    @cached_property
     def alpha(self) -> np.ndarray:
-        """Complex coefficients of the mode annihilation operators."""
-        q = self.mode_quad
-        return (q[0::2] - 1j * q[1::2]) / _SQRT2
+        """Complex coefficients of the mode annihilation operators, read-only."""
+        return _annihilation(self.mode_quad)
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
-        """Complex coefficients of the output annihilation operators."""
-        q = self.output_quad
-        return (q[0::2] - 1j * q[1::2]) / _SQRT2
+        """Complex coefficients of the output annihilation operators, read-only."""
+        return _annihilation(self.output_quad)
+
+
+def _annihilation(quad: np.ndarray) -> np.ndarray:
+    """(X - i Y) / sqrt(2) of each (X, Y) pair, as a read-only array."""
+    coeffs = (quad[0::2] - 1j * quad[1::2]) / _SQRT2
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _frozen_complex(x, name: str) -> np.ndarray:
@@ -398,7 +411,7 @@ def solve_susceptibilities(net: LinearNetwork,
         np.subtract(s_ij, vals, out=vals)
         vals *= 1j / hbar
         vals -= np.imag(dterm) / hbar
-        return ComplexSpectrum(grid, vals)
+        return _adopt(grid, vals)
 
     return SusceptibilitySet(
         grid=grid,
@@ -430,27 +443,33 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
     kernel_t = np.block([[np.diag(1.0 + n), np.diag(m)],
                          [np.diag(np.conj(m)), np.diag(n)]]).T
     lines, size = net.n_lines, len(grid)
-    s_zz, s_ff = np.empty(size), np.empty(size)
-    s_zf = np.empty(size, dtype=complex)
+    s_zz, s_zf, s_ff = (np.empty(size, dtype=complex) for _ in range(3))
+    blocks = _blocks(size, 4 * lines)
+    # x and its kernel product each have one buffer, sized by the first
+    # (widest) block and reused by every block
+    x_buf, xk_buf = (np.empty(4 * lines * (blocks[0][1] - blocks[0][0]), dtype=complex)
+                     for _ in range(2))
     # points [a, b) pair with their mirrors -omega, rows [size - b, size - a)
     # reversed; x[k, o, w]: channel k (the lines at +omega, then at -omega),
     # observable o
-    for a, b in _blocks(size, 4 * lines):
-        x = np.empty((2 * lines, 2, b - a), dtype=complex)
+    for a, b in blocks:
+        x = x_buf[:4 * lines * (b - a)].reshape(2 * lines, 2, b - a)
         for o, (row, offset) in enumerate(zip(rows, feed)):
             np.add(row[a:b].T, offset[:, None], out=x[:lines, o])
             np.add(row[size - b:size - a][::-1].T, offset[:, None], out=x[lines:, o])
         np.conjugate(x[lines:], out=x[lines:])
-        xk = (kernel_t @ x.reshape(2 * lines, -1)).reshape(x.shape)
+        xk = np.matmul(kernel_t, x.reshape(2 * lines, -1),
+                       out=xk_buf[:x.size].reshape(2 * lines, -1)).reshape(x.shape)
         xc = np.conjugate(x, out=x)  # in place: the product above has read x
-        s_zz[a:b] = np.einsum("kw,kw->w", xk[:, 0], xc[:, 0]).real
-        np.einsum("kw,kw->w", xk[:, 0], xc[:, 1], out=s_zf[a:b])
-        s_ff[a:b] = np.einsum("kw,kw->w", xk[:, 1], xc[:, 1]).real
+        for (i, j), out in (((0, 0), s_zz), ((0, 1), s_zf), ((1, 1), s_ff)):
+            np.einsum("kw,kw->w", xk[:, i], xc[:, j], out=out[a:b])
+    # the autos are real: their imaginary parts are round-off
+    s_zz.imag = s_ff.imag = 0.0
     return SpectraSet(
         grid=grid,
-        s_zz=ComplexSpectrum(grid, s_zz),
-        s_zf=ComplexSpectrum(grid, s_zf),
-        s_ff=ComplexSpectrum(grid, s_ff),
+        s_zz=_adopt(grid, s_zz),
+        s_zf=_adopt(grid, s_zf),
+        s_ff=_adopt(grid, s_ff),
         symmetrized=False,
     )
 
@@ -472,9 +491,9 @@ def symmetrize(spectra: SpectraSet) -> SpectraSet:
         parts *= 0.5
     return SpectraSet(
         grid=spectra.grid,
-        s_zz=ComplexSpectrum(spectra.grid, s_zz),
-        s_zf=ComplexSpectrum(spectra.grid, s_zf),
-        s_ff=ComplexSpectrum(spectra.grid, s_ff),
+        s_zz=_adopt(spectra.grid, s_zz),
+        s_zf=_adopt(spectra.grid, s_zf),
+        s_ff=_adopt(spectra.grid, s_ff),
         symmetrized=True,
     )
 
@@ -487,9 +506,21 @@ def kubo_check(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
 
     Bare spectra carry no hbar, so ``units`` is required: the model's own.
     """
+    residual = _kubo_residual(s_ff_unsym, chi_ff, units)
+    return _adopt(chi_ff.grid, residual.astype(complex))
+
+
+def _kubo_residual(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
+                   units: UnitConvention) -> np.ndarray:
+    """``kubo_check``'s residual as a contiguous float array.
+
+    Complex subtraction is componentwise, so the real parts are subtracted
+    alone, in one buffer.
+    """
     if s_ff_unsym.grid != chi_ff.grid:
         raise GridMismatchError("spectrum and susceptibility grids differ")
     s_ff_unsym.grid.require_symmetric("the fluctuation-dissipation check")
-    s = s_ff_unsym.values
-    residual = chi_ff.values.imag - (s - s[::-1]).real / (2.0 * units.hbar)
-    return ComplexSpectrum(chi_ff.grid, residual)
+    s = s_ff_unsym.values.real
+    residual = np.subtract(s, s[::-1])
+    residual /= 2.0 * units.hbar
+    return np.subtract(chi_ff.values.imag, residual, out=residual)

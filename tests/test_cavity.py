@@ -148,6 +148,43 @@ class TestSpectra:
         assert np.all(margin >= -1e-12 * np.max(s_ff))
 
 
+def _symmetrized_with(name: str, values: np.ndarray) -> q.SpectraSet:
+    """A symmetrized set whose ``name`` entry holds ``values``, the rest 1."""
+    grid = q.make_symmetric_grid(1.0, (len(values) - 1) // 2)
+    ones = q.ComplexSpectrum(grid, np.ones(len(grid)))
+    fields = {"s_zz": ones, "s_zf": ones, "s_ff": ones,
+              name: q.ComplexSpectrum(grid, values)}
+    return q.SpectraSet(grid=grid, symmetrized=True, **fields)
+
+
+class TestSymmetrizedChecksAtAnyScale:
+    """Both checks read the spectrum against its own peak, so a power-of-two
+    change of units, which scales every value exactly, changes no outcome."""
+
+    SCALES = [1.0, 2.0 ** -40, 2.0 ** -80]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", ["s_zz", "s_ff"])
+    def test_negative_by_half_its_peak_is_rejected(self, name, scale):
+        values = np.linspace(0.25, 1.0, 9)
+        values[2] = -0.5
+        with pytest.raises(ValueError, match=f"symmetrized {name} must be non-negative"):
+            _symmetrized_with(name, scale * values)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", ["s_zz", "s_ff"])
+    @pytest.mark.parametrize("residue, accepted", [(1e-13, True), (1e-11, False)])
+    def test_imaginary_residue_is_judged_against_the_peak(self, name, scale,
+                                                          residue, accepted):
+        values = np.linspace(0.25, 1.0, 9) + 0j
+        values[4] += 1j * residue
+        if accepted:
+            _symmetrized_with(name, scale * values)
+        else:
+            with pytest.raises(ValueError, match=f"symmetrized {name} has imaginary"):
+                _symmetrized_with(name, scale * values)
+
+
 class TestOutOfRange:
     @pytest.mark.parametrize("closed_form,gbar", [
         (q.cavity_susceptibilities, 1e200),

@@ -316,6 +316,40 @@ class TestConstraintReport:
                       q.Verdict.quantum_limited))
         assert report.worst_verdict is q.Verdict.above_limit
 
+    def test_kubo_residual_is_kubo_checks_real_part(self, generic_params, grid129):
+        uns, susc = _engine_run(generic_params, grid129, q.InputState.thermal(0.7))
+        residual = q.constraint_report(uns, susc).kubo_residual
+        assert residual.dtype == float and residual.flags.c_contiguous
+        expected = q.kubo_check(uns.s_ff, susc.chi_ff, susc.units).values.real
+        assert residual.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("source", ["tuple", "audit"])
+    def test_verdicts_read_as_a_tuple_does(self, generic_params, grid129, source):
+        ql, above, bad = q.Verdict
+        if source == "tuple":  # as test_worst_verdict_ordering builds it
+            expected = (ql, above, ql)
+            report = q.ConstraintReport(
+                grid=grid129, uncertainty_gap=np.zeros(3),
+                product_residual=np.zeros(3), correlation_residual=np.zeros(3),
+                kubo_residual=np.zeros(3), positivity_margin=np.zeros(3),
+                verdicts=expected)
+        else:  # a NaN in the force noise: a violation there and at its mirror
+            uns = q.cavity_unsym_spectra(generic_params, grid129)
+            s_ff = uns.s_ff.values.copy()
+            s_ff[40] = np.nan
+            uns = dataclasses.replace(uns, s_ff=q.ComplexSpectrum(grid129, s_ff))
+            report = q.constraint_report(
+                uns, q.cavity_susceptibilities(generic_params, grid129))
+            assert isinstance(report.verdicts, np.ndarray)
+            expected = (ql,) * 40 + (bad,) + (ql,) * 47 + (bad,) + (ql,) * 40
+        assert len(report.verdicts) == len(expected)
+        assert all(type(v) is q.Verdict for v in report.verdicts)
+        assert set(report.verdicts) == set(expected)
+        assert all(report.verdicts[i] is v for i, v in enumerate(expected))
+        assert report.worst_verdict is q.Verdict.worst(expected)
+        assert [v in report.verdicts for v in q.Verdict] == [
+            v in expected for v in q.Verdict]
+
 
 class TestMimo:
     def test_assemble_shape_and_order(self, generic_params, grid129):

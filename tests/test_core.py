@@ -1,6 +1,7 @@
 """Units, grids, spectrum containers, parameter sets, input states."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdetnoise as q
+from qdetnoise import core
 
 
 class TestUnitConvention:
@@ -106,6 +108,61 @@ class TestComplexSpectrum:
         assert spec.values[0] == 0.0
         with pytest.raises(ValueError):
             spec.values[0] = 5.0
+
+    def test_adopt_freezes_the_buffer_itself(self):
+        grid = q.make_symmetric_grid(1.0, 2)
+        buffer = np.arange(5, dtype=complex)
+        spec = core._adopt(grid, buffer)
+        assert spec.values is buffer and not buffer.flags.writeable
+        assert isinstance(spec, q.ComplexSpectrum) and spec.grid is grid
+
+    @pytest.mark.parametrize("buffer, error", [
+        (np.zeros(3, dtype=complex), q.GridMismatchError),
+        (np.zeros(5), TypeError),
+    ])
+    def test_adopt_checks_shape_and_dtype(self, buffer, error):
+        with pytest.raises(error):
+            core._adopt(q.make_symmetric_grid(1.0, 2), buffer)
+        assert buffer.flags.writeable
+
+
+def _library_spectra() -> dict[str, q.ComplexSpectrum]:
+    """Every ComplexSpectrum that one call of each producer returns."""
+    params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1.3, theta=0.4)
+    grid = q.make_symmetric_grid(4.0, 8)
+    net = q.build_one_sided_cavity(params, q.InputState.thermal(0.5))
+    susc = q.solve_susceptibilities(net, grid)
+    unsym = q.solve_unsym_spectra(net, grid)
+    found = {}
+    for name, result in (("engine", susc), ("engine", unsym),
+                         ("symmetrize", q.symmetrize(unsym)),
+                         ("closed", q.cavity_susceptibilities(params, grid)),
+                         ("closed", q.cavity_spectra(params, grid)),
+                         ("closed_unsym", q.cavity_unsym_spectra(params, grid)),
+                         ("normalize", q.normalize(q.cavity_spectra(params, grid),
+                                                   q.cavity_susceptibilities(params, grid)))):
+        found |= {f"{name}.{field}": value for field, value in vars(result).items()
+                  if isinstance(value, q.ComplexSpectrum)}
+    found["kubo_check"] = q.kubo_check(unsym.s_ff, susc.chi_ff, net.units)
+    osc = q.MechOscillator(1.0, 0.1, n_occupation=1.0)
+    found["bare_susceptibility"] = osc.bare_susceptibility(grid)
+    found["thermal_force_spectrum"] = q.thermal_force_spectrum(osc, grid)
+    found["modified_mech_susceptibility"] = q.modified_mech_susceptibility(
+        osc, susc.chi_ff)
+    return found
+
+
+class TestBufferOwnership:
+    def test_library_spectra_are_read_only(self):
+        for name, spec in _library_spectra().items():
+            assert not spec.values.flags.writeable, name
+            assert spec.values.dtype == complex and spec.values.flags.c_contiguous, name
+            with pytest.raises(ValueError):
+                spec.values[0] = 1.0
+
+    def test_library_spectra_share_no_buffer(self):
+        for (a, x), (b, y) in itertools.combinations(_library_spectra().items(), 2):
+            assert not np.shares_memory(x.values, y.values), (a, b)
 
 
 class TestCavityParams:

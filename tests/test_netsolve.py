@@ -177,6 +177,15 @@ class TestObservable:
         with pytest.raises(ValueError):
             q.Observable(mode_quad=np.zeros(3), output_quad=np.zeros(2))
 
+    @pytest.mark.parametrize("name", ["alpha", "mu"])
+    def test_coefficients_are_computed_once_and_read_only(self, name):
+        obs = q.Observable(mode_quad=[0.3, -1.2], output_quad=[0.8, 0.1, -0.4, 2.0])
+        first = getattr(obs, name)
+        assert getattr(obs, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
 
 class TestNetworkConstruction:
     def test_one_sided_cavity_drift(self, canonical_params):

@@ -4,6 +4,7 @@ byte record names each column that moved."""
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -60,10 +61,41 @@ def cli_layers():
 
 
 def test_cli_layers_splits_one_process(cli_layers, tmp_path):
-    row = cli_layers.measure(ROOT / "src", tmp_path,
-                             ("qubit", "--format=json", "--out=q.json"), 1)
+    [row] = cli_layers.measure([ROOT / "src"], tmp_path,
+                               ("qubit", "--format=json", "--out=q.json"), 1)
     assert row["exit"] == 0 and (tmp_path / "q.json").exists()
     assert all(row[name] > 0.0 for name in cli_layers.COLUMNS)
+
+
+def test_cli_layers_prints_two_trees_side_by_side(cli_layers, tmp_path, capsys):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "qdetnoise", other / "src" / "qdetnoise")
+    assert cli_layers.main(["--src", str(ROOT), "--src", str(other),
+                            "--smoke", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"tree 1: {ROOT / 'src'}", f"tree 2: {other / 'src'}"]
+    header = [cell.strip() for cell in out[2].strip("|").split("|")]
+    assert header == ["workload", "op"] + [
+        f"{name} {tree}" for name in ("exit", *cli_layers.COLUMNS) for tree in (1, 2)]
+    rows = out[4:]
+    assert len(rows) > 2 and all(row.startswith("| cli-") for row in rows)
+    for row in rows:
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert len(cells) == len(header) and cells[2:4] == ["0", "0"]
+
+
+def test_cli_layers_trees_take_turns(cli_layers, monkeypatch):
+    order = []
+
+    def spawn(src, workdir, argv):
+        order.append(src)
+        return {"exit": 0} | {name: float(len(order)) for name in cli_layers.COLUMNS}
+
+    monkeypatch.setattr(cli_layers, "spawn", spawn)
+    rows = cli_layers.measure(["a", "b"], Path("."), ("qubit",), 3)
+    # one process per tree in each round; the tree that goes first rotates
+    assert order == ["a", "b", "b", "a", "a", "b"]
+    assert [row["import_s"] for row in rows] == [4.0, 3.0]  # medians of 1,4,5 and 2,3,6
 
 
 def test_cli_layers_needs_one_repeat(cli_layers, capsys):
@@ -142,3 +174,50 @@ def test_byte_record_reports_a_one_ulp_move_in_one_array(byte_record, name):
     assert len(found) == 1 and found[0].startswith(f"{name}: 1 of 9 cells moved")
     relative = float(found[0].split("largest ")[1].split()[0])
     assert 0.0 < relative < 1e-15
+
+
+FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment line
+import os  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    y = (x +  # inside parentheses
+         # a comment line inside them
+
+         1)
+    "a bare string statement"
+    return """a string
+that spans code lines"""
+
+
+class A:
+    "class docstring" " joined"
+    z = 1
+'''
+
+
+@pytest.fixture
+def loc():
+    spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_loc_counts_code_lines_only(loc):
+    # import, def, y = (x +, 1), return and its string's second line,
+    # class, z = 1
+    assert loc.code_lines(FIXTURE) == 8
+
+
+def test_loc_prints_each_file_and_the_total(loc, tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert loc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     1 b.py", "     8 pkg/a.py", "     9 total"]
