@@ -8,8 +8,9 @@ readout and mechanical position sensing.
 
 Layer map:
 
-* :mod:`qdetnoise.core`        units, grids, sampled spectra, parameter sets
-* :mod:`qdetnoise.cavity`      closed-form cavity detector, spectra sets
+* :mod:`qdetnoise.core`        units, grids, sampled spectra, parameter and
+                               result records, the rules shared by all layers
+* :mod:`qdetnoise.cavity`      closed-form cavity detector, ``normalize``
 * :mod:`qdetnoise.netsolve`    state-space engine for arbitrary linear networks
 * :mod:`qdetnoise.constraints` quantum-limit checks, SISO and MIMO
 * :mod:`qdetnoise.apps`        qubit readout and sideband thermometry
@@ -28,14 +29,14 @@ _EXPORTS = {
              "closed_loop_poles", "modified_mech_susceptibility",
              "optimal_angle", "qubit_rates", "sideband_asymmetry",
              "thermal_force_spectrum"),
-    "cavity": ("NormalizedSpectra", "SpectraSet", "SusceptibilitySet",
-               "cavity_spectra", "cavity_susceptibilities",
+    "cavity": ("cavity_spectra", "cavity_susceptibilities",
                "cavity_unsym_spectra", "normalize", "response_denominator"),
     "cli": ("RunConfig", "main", "parse_config", "parse_input_state"),
     "constraints": ("ConstraintReport", "Verdict", "assemble_mimo_matrix",
                     "constraint_report", "mimo_quantum_limit"),
     "core": ("CavityParams", "ComplexSpectrum", "FrequencyGrid", "InputState",
-             "MechOscillator", "UnitConvention", "make_symmetric_grid"),
+             "MechOscillator", "NormalizedSpectra", "SpectraSet",
+             "SusceptibilitySet", "UnitConvention", "make_symmetric_grid"),
     "errors": ("DegenerateReadoutError", "GridMismatchError",
                "InvalidMatrixError", "NotAValidDetectorError",
                "OpticalSpringInstabilityError", "QDetNoiseError",

@@ -11,113 +11,19 @@ whose roots sit at omega = +/-delta - i gamma, below the real axis as causality
 requires. The engine in ``netsolve`` reproduces every function here from the
 equations of motion; the two routes cross-validate each other in the tests.
 Each closed form raises ValueError when a result overflows float64.
+
+This module holds only the closed forms and ``normalize``. The result
+records they return, and the rules they share with the engine, live in
+``core``.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, UnitConvention,
-                   _adopt)
-from .errors import SingularNormalizationError
-
-_IMAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SusceptibilitySet:
-    """Causal response functions of the readout/force observable pair.
-
-    chi_zf: readout response to a force on the probe (the signal path)
-    chi_ff: force self-response (dynamical back action)
-    chi_zz, chi_fz: identically zero for a valid detector, whose output
-        commutes with itself at all times and never feels the readout
-    units: the hbar of the model the responses were computed from
-    """
-
-    grid: FrequencyGrid
-    chi_zf: ComplexSpectrum
-    chi_ff: ComplexSpectrum
-    chi_zz: ComplexSpectrum
-    chi_fz: ComplexSpectrum
-    units: UnitConvention
-
-
-@dataclass(frozen=True)
-class SpectraSet:
-    """Noise spectra of the readout (z) and force (f) observables.
-
-    With symmetrized=False the entries are the double-sided spectra
-    S_AB(omega); with symmetrized=True they are the even combinations
-    [S_AB(omega) + S_BA(-omega)] / 2, whose diagonal entries must be real
-    and non-negative, each to _IMAG_TOL of its own largest value.
-    """
-
-    grid: FrequencyGrid
-    s_zz: ComplexSpectrum
-    s_zf: ComplexSpectrum
-    s_ff: ComplexSpectrum
-    symmetrized: bool
-
-    def __post_init__(self) -> None:
-        for name, spec in (("s_zz", self.s_zz), ("s_zf", self.s_zf),
-                           ("s_ff", self.s_ff)):
-            if spec.grid != self.grid:
-                raise ValueError(f"{name} lives on a different grid")
-        if self.symmetrized:
-            for name, spec in (("s_zz", self.s_zz), ("s_ff", self.s_ff)):
-                # against the spectrum's own peak, so the same in any units
-                limit = _IMAG_TOL * np.max(spec.values.real, initial=0.0)
-                if np.max(np.abs(spec.values.imag)) > limit:
-                    raise ValueError(f"symmetrized {name} has imaginary residue "
-                                     f"above {_IMAG_TOL} of its peak")
-                if np.min(spec.values.real) < -limit:
-                    raise ValueError(f"symmetrized {name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class NormalizedSpectra:
-    """Noise referred to the measured variable, z = Z / chi_zf.
-
-    imprecision: S_zz / |chi_zf|^2, the readout floor in system units
-    cross:       S_zf / chi_zf, imprecision/back-action correlation
-    force:       S_ff, passed through unchanged
-    """
-
-    grid: FrequencyGrid
-    imprecision: ComplexSpectrum
-    cross: ComplexSpectrum
-    force: ComplexSpectrum
-
-
-def _in_float64_range(compute):
-    """Raise ValueError, not OverflowError, for a result float64 cannot hold.
-
-    compute(model, grid) is a closed form or an engine solver. It runs with
-    numpy's overflow and invalid-value warnings off, so that an out-of-range
-    call ends in this one ValueError. Python's ``x ** 2`` raises
-    OverflowError, and a product of Python floats overflows to inf silently;
-    both mean the parameters are out of range.
-    """
-    @functools.wraps(compute)
-    def checked(model, grid: FrequencyGrid):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = compute(model, grid)
-            # ComplexSpectrum values are contiguous complex128: the float view is exact
-            finite = all(np.isfinite(value.values.view(float)).all()
-                         for value in vars(result).values()
-                         if isinstance(value, ComplexSpectrum))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{compute.__name__} overflows float64: the "
-                             "parameters are out of range")
-        return result
-    return checked
+from .core import (CavityParams, FrequencyGrid, NormalizedSpectra, SpectraSet,
+                   SusceptibilitySet, _adopt, _in_float64_range, _require_grid,
+                   _require_signal)
 
 
 def response_denominator(omega, gamma: float, delta: float) -> np.ndarray:
@@ -191,24 +97,15 @@ def cavity_unsym_spectra(params: CavityParams, grid: FrequencyGrid) -> SpectraSe
     )
 
 
-def _require_signal(grid: FrequencyGrid, no_signal: np.ndarray) -> None:
-    """Raise SingularNormalizationError at the first frequency flagged in
-    ``no_signal``, where the signal response vanishes."""
-    if np.any(no_signal):
-        raise SingularNormalizationError(
-            f"chi_zf vanishes at omega = {grid.points[no_signal][0]:.6g}; "
-            "the readout carries no signal there")
-
-
 def normalize(spectra: SpectraSet, susc: SusceptibilitySet) -> NormalizedSpectra:
     """Refer the readout noise to the measured variable, z = Z / chi_zf.
 
-    Raises SingularNormalizationError where the signal response vanishes.
+    Raises SingularNormalizationError where the signal response vanishes,
+    and GridMismatchError when the two records live on different grids.
     """
     if not spectra.symmetrized:
         raise ValueError("normalize() expects symmetrized spectra")
-    if spectra.grid != susc.grid:
-        raise ValueError("spectra and susceptibilities live on different grids")
+    _require_grid(spectra.grid, "susc", susc.grid)
     chi = susc.chi_zf.values
     _require_signal(spectra.grid, np.abs(chi) < 1e-300)
     return NormalizedSpectra(

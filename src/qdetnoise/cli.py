@@ -49,7 +49,7 @@ import numpy as np
 from ._format import format_e16, format_repr
 from .core import (CavityParams, ComplexSpectrum, InputState, MechOscillator,
                    make_symmetric_grid)
-from .errors import GridMismatchError, InvalidMatrixError, QDetNoiseError
+from .errors import InvalidMatrixError, QDetNoiseError
 
 _FORMATS = ("csv", "json")
 _CHUNK_ROWS = 4096  # table rows formatted and written at a time
@@ -250,13 +250,15 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
 def _verdict_labels(col: Sequence) -> np.ndarray:
     """The value of each Verdict in ``col`` as one zero-padded label array
     (``dtype="S"``), indexed by the rank that comparing the whole column
-    with each member in turn finds."""
+    with each member in turn finds. A member's rank is its place in the
+    definition order of Verdict, the documented severity order."""
     # loaded already, by the command whose audit gave the verdicts
-    from .constraints import _BY_RANK
-    found = np.asarray(col, dtype=object) == _BY_RANK[:, None]
+    from .constraints import Verdict
+    members = np.array(list(Verdict), dtype=object)
+    found = np.asarray(col, dtype=object) == members[:, None]
     if not found.any(axis=0).all():
         raise TypeError("a verdict column holds Verdict members only")
-    labels = np.array([v.value for v in _BY_RANK], dtype="S")
+    labels = np.array([v.value for v in Verdict], dtype="S")
     return labels[np.argmax(found, axis=0)]
 
 
@@ -523,16 +525,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3
-    except GridMismatchError as exc:
+    except (ValueError, Warning) as exc:
+        # a warning raises under -W error; a GridMismatchError is caught
+        # here, ahead of QDetNoiseError, to exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QDetNoiseError as exc:
         # degenerate readout, unstable spring, singular normalization, ...
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, Warning) as exc:  # a warning raises under -W error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"error: a result overflows float64 ({exc}): the configuration "
               "is out of range", file=sys.stderr)

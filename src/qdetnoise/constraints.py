@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import SpectraSet, SusceptibilitySet, _require_signal
-from .core import FrequencyGrid, UnitConvention
+from .core import (FrequencyGrid, SpectraSet, SusceptibilitySet, UnitConvention,
+                   _kubo_residual, _require_grid, _require_signal)
 from .errors import InvalidMatrixError, NotAValidDetectorError
-from .netsolve import _kubo_residual, symmetrize
+from .netsolve import symmetrize
 
 # Relative tolerance of the gap and determinant verdicts, of the
 # valid-detector premise and of a MIMO block's positive semidefiniteness.
@@ -31,7 +31,11 @@ _HERMITICITY_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
-    """Per-frequency classification, listed from least to most severe."""
+    """Per-frequency classification, listed from least to most severe.
+
+    The definition order is the severity order: ``worst``, the ranks of
+    ``classify_verdicts`` and the CLI's verdict labels all read it.
+    """
 
     quantum_limited = "quantum_limited"
     above_limit = "above_limit"
@@ -155,17 +159,17 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
 
     Returns an (n_omega, 2N, 2N) array with per-pair blocks
     [[S_zz, S_zf], [S_zf^*, S_ff]] from unsymmetrized spectra, ordered
-    (z_1, f_1, z_2, f_2, ...).
+    (z_1, f_1, z_2, f_2, ...). Sets on different grids raise
+    GridMismatchError.
     """
     sets = tuple(spectra_sets)
     if not sets:
         raise ValueError("need at least one spectra set")
     grid = sets[0].grid
-    for s in sets:
+    for i, s in enumerate(sets):
         if s.symmetrized:
             raise ValueError("the spectral matrix is built from unsymmetrized spectra")
-        if s.grid != grid:
-            raise ValueError("all spectra sets must share one grid")
+        _require_grid(grid, f"spectra_sets[{i}]", s.grid)
     n_pairs = len(sets)
     out = np.zeros((len(grid), 2 * n_pairs, 2 * n_pairs), dtype=complex)
     for i, s in enumerate(sets):
@@ -242,14 +246,14 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     physics) or when the gap is not finite.
 
     hbar is ``susc.units``, the model's own; a ``units`` that differs from
-    it raises ValueError. Raises SingularNormalizationError where the
+    it raises ValueError, and records on different grids raise
+    GridMismatchError. Raises SingularNormalizationError where the
     readout carries no signal, (hbar^2/4)|chi_zf|^2 <= eps * scale, since the
     two equalities are referred to the signal and round-off is not one.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
-    if spectra_unsym.grid != susc.grid:
-        raise ValueError("spectra and susceptibilities live on different grids")
+    _require_grid(spectra_unsym.grid, "susc", susc.grid)
     if units not in (None, susc.units):
         raise ValueError(f"units {units} differ from the susceptibilities' "
                          f"{susc.units}")

@@ -1,4 +1,4 @@
-"""Shared domain types: unit conventions, frequency grids, parameter records.
+"""Shared domain types and rules: units, grids, parameter and result records.
 
 Conventions used throughout the package:
 
@@ -9,11 +9,21 @@ Conventions used throughout the package:
   S_AB(omega) = integral dtau e^{i omega tau} <A(tau) B(0)>.
 * hbar enters only through UnitConvention, which defaults (to 1) only on
   the model records; every result and check reads it from its inputs.
+
+The result records that both routes produce, the closed forms in ``cavity``
+and the engine in ``netsolve``, live here with the rules every layer
+shares, so the engine and the audit need not import the closed forms. The
+records are ``SusceptibilitySet``, ``SpectraSet`` and
+``NormalizedSpectra``. The rules are one grid check (``_require_grid``),
+which every record applies to its own spectra when built, the
+float64-range guard of the solvers and closed forms, the no-signal check
+and the Kubo residual.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,7 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, SingularNormalizationError
+
+_IMAG_TOL = 1e-12
 
 
 def _require_finite(record) -> None:
@@ -161,6 +173,19 @@ def _adopt(grid: FrequencyGrid, buffer: np.ndarray) -> ComplexSpectrum:
     return spectrum
 
 
+def _spectra(record) -> list[tuple[str, ComplexSpectrum]]:
+    """(name, spectrum) of each ComplexSpectrum field of ``record``."""
+    return [(name, value) for name, value in vars(record).items()
+            if isinstance(value, ComplexSpectrum)]
+
+
+def _require_grid(grid: FrequencyGrid, name: str, other: FrequencyGrid) -> None:
+    """Raise GridMismatchError, naming the field or argument ``name``,
+    unless its grid ``other`` equals ``grid``: the one grid rule."""
+    if other != grid:
+        raise GridMismatchError(f"{name} lives on a different grid")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """One-sided cavity probe with homodyne readout.
@@ -275,3 +300,126 @@ class InputState:
         w = 2.0 * self.n_th + 1.0
         return (self.n_th + w * np.sinh(self.r) ** 2,
                 w * np.exp(1j * self.phi) * np.sinh(self.r) * np.cosh(self.r))
+
+
+class _OnOneGrid:
+    """Base of the result records: every spectrum lives on the record's grid."""
+
+    def __post_init__(self) -> None:
+        for name, spectrum in _spectra(self):
+            _require_grid(self.grid, name, spectrum.grid)
+
+
+@dataclass(frozen=True)
+class SusceptibilitySet(_OnOneGrid):
+    """Causal response functions of the readout/force observable pair.
+
+    chi_zf: readout response to a force on the probe (the signal path)
+    chi_ff: force self-response (dynamical back action)
+    chi_zz, chi_fz: identically zero for a valid detector, whose output
+        commutes with itself at all times and never feels the readout
+    units: the hbar of the model the responses were computed from
+    """
+
+    grid: FrequencyGrid
+    chi_zf: ComplexSpectrum
+    chi_ff: ComplexSpectrum
+    chi_zz: ComplexSpectrum
+    chi_fz: ComplexSpectrum
+    units: UnitConvention
+
+
+@dataclass(frozen=True)
+class SpectraSet(_OnOneGrid):
+    """Noise spectra of the readout (z) and force (f) observables.
+
+    With symmetrized=False the entries are the double-sided spectra
+    S_AB(omega); with symmetrized=True they are the even combinations
+    [S_AB(omega) + S_BA(-omega)] / 2, whose diagonal entries must be real
+    and non-negative, each to _IMAG_TOL of its own largest value.
+    """
+
+    grid: FrequencyGrid
+    s_zz: ComplexSpectrum
+    s_zf: ComplexSpectrum
+    s_ff: ComplexSpectrum
+    symmetrized: bool
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.symmetrized:
+            for name, spec in (("s_zz", self.s_zz), ("s_ff", self.s_ff)):
+                # against the spectrum's own peak, so the same in any units
+                limit = _IMAG_TOL * np.max(spec.values.real, initial=0.0)
+                if np.max(np.abs(spec.values.imag)) > limit:
+                    raise ValueError(f"symmetrized {name} has imaginary residue "
+                                     f"above {_IMAG_TOL} of its peak")
+                if np.min(spec.values.real) < -limit:
+                    raise ValueError(f"symmetrized {name} must be non-negative")
+
+
+@dataclass(frozen=True)
+class NormalizedSpectra(_OnOneGrid):
+    """Noise referred to the measured variable, z = Z / chi_zf.
+
+    imprecision: S_zz / |chi_zf|^2, the readout floor in system units
+    cross:       S_zf / chi_zf, imprecision/back-action correlation
+    force:       S_ff, passed through unchanged
+    """
+
+    grid: FrequencyGrid
+    imprecision: ComplexSpectrum
+    cross: ComplexSpectrum
+    force: ComplexSpectrum
+
+
+def _in_float64_range(compute):
+    """Raise ValueError, not OverflowError, for a result float64 cannot hold.
+
+    compute(model, grid) is a closed form or an engine solver. It runs with
+    numpy's overflow and invalid-value warnings off, so that an out-of-range
+    call ends in this one ValueError. Python's ``x ** 2`` raises
+    OverflowError, and a product of Python floats overflows to inf silently;
+    both mean the parameters are out of range.
+    """
+    @functools.wraps(compute)
+    def checked(model, grid: FrequencyGrid):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = compute(model, grid)
+            # ComplexSpectrum values are contiguous complex128: the float view is exact
+            finite = all(np.isfinite(value.values.view(float)).all()
+                         for _, value in _spectra(result))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{compute.__name__} overflows float64: the "
+                             "parameters are out of range")
+        return result
+    return checked
+
+
+def _require_signal(grid: FrequencyGrid, no_signal: np.ndarray) -> None:
+    """Raise SingularNormalizationError at the first frequency flagged in
+    ``no_signal``, where the signal response vanishes."""
+    if np.any(no_signal):
+        raise SingularNormalizationError(
+            f"chi_zf vanishes at omega = {grid.points[no_signal][0]:.6g}; "
+            "the readout carries no signal there")
+
+
+def _kubo_residual(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
+                   units: UnitConvention) -> np.ndarray:
+    """Fluctuation-dissipation residual as a contiguous float array,
+
+        Im chi_ff(omega) - [S_ff(omega) - S_ff(-omega)] / (2 hbar).
+
+    Complex subtraction is componentwise, so the real parts are subtracted
+    alone, in one buffer.
+    """
+    _require_grid(s_ff_unsym.grid, "chi_ff", chi_ff.grid)
+    s_ff_unsym.grid.require_symmetric("the fluctuation-dissipation check")
+    s = s_ff_unsym.values.real
+    residual = np.subtract(s, s[::-1])
+    residual /= 2.0 * units.hbar
+    return np.subtract(chi_ff.values.imag, residual, out=residual)

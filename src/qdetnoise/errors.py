@@ -5,8 +5,11 @@ class QDetNoiseError(Exception):
     """Base class for all errors raised by qdetnoise."""
 
 
-class GridMismatchError(QDetNoiseError):
-    """Grids disagree, or an operation needing f(-omega) got an asymmetric grid."""
+class GridMismatchError(QDetNoiseError, ValueError):
+    """Grids disagree, or an operation needing f(-omega) got an asymmetric grid.
+
+    It is also a ValueError: a mismatched grid is a bad argument.
+    """
 
 
 class StabilityError(QDetNoiseError):

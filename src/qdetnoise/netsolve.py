@@ -62,7 +62,10 @@ to zero. An Observable's coefficients alpha and mu are computed once, as
 read-only arrays.
 
 This module is the independent oracle for the closed forms in ``cavity`` and
-the only route to thermal/squeezed inputs and multi-mode networks.
+the only route to thermal/squeezed inputs and multi-mode networks. It holds
+the networks, the two solvers, ``symmetrize`` and ``kubo_check``; the
+records it returns, its float64-range guard and the Kubo residual come from
+``core``, so it does not import the closed forms.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cavity import SpectraSet, SusceptibilitySet, _in_float64_range
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
-                   UnitConvention, _adopt)
-from .errors import GridMismatchError, StabilityError
+                   SpectraSet, SusceptibilitySet, UnitConvention, _adopt,
+                   _in_float64_range, _kubo_residual)
+from .errors import StabilityError
 
 _SQRT2 = np.sqrt(2.0)
 # Largest eigenvector condition number for which the resolvent is formed
@@ -213,8 +216,10 @@ class LinearNetwork:
 
         Passive networks built from a Hamiltonian and decay channels satisfy
         A + A^dag = -B B^dag identically, so M is the identity; that case is
-        detected exactly and short-circuited to keep the zero-response
-        identities of a valid detector exact in floating point. Otherwise M
+        detected, to 1e-13 of the larger of max|A| and max|B B^dag| (no unit
+        floor, so the test reads the same at every rate scale), and
+        short-circuited to keep the zero-response identities of a valid
+        detector exact in floating point. Otherwise M
         is one dense solve of the vectorised equation, with column-major vec,
 
             (I kron A + conj(A) kron I) vec(M) = -vec(B B^dag),
@@ -229,7 +234,7 @@ class LinearNetwork:
         with np.errstate(over="ignore", invalid="ignore"):
             bb = b @ b.conj().T
             resid0 = a + a.conj().T + bb
-            scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(bb)))
+            scale = max(np.max(np.abs(a)), np.max(np.abs(bb)))
         if not (np.isfinite(resid0).all() and np.isfinite(scale)):
             raise ValueError("the Gramian overflows float64: the network's "
                              "couplings are out of range")
@@ -505,22 +510,8 @@ def kubo_check(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
     residual(omega) = Im chi_ff(omega) - [S_ff(omega) - S_ff(-omega)] / (2 hbar)
 
     Bare spectra carry no hbar, so ``units`` is required: the model's own.
+    The residual is ``core._kubo_residual``'s, which the audit reads too.
     """
     residual = _kubo_residual(s_ff_unsym, chi_ff, units)
     return _adopt(chi_ff.grid, residual.astype(complex))
 
-
-def _kubo_residual(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
-                   units: UnitConvention) -> np.ndarray:
-    """``kubo_check``'s residual as a contiguous float array.
-
-    Complex subtraction is componentwise, so the real parts are subtracted
-    alone, in one buffer.
-    """
-    if s_ff_unsym.grid != chi_ff.grid:
-        raise GridMismatchError("spectrum and susceptibility grids differ")
-    s_ff_unsym.grid.require_symmetric("the fluctuation-dissipation check")
-    s = s_ff_unsym.values.real
-    residual = np.subtract(s, s[::-1])
-    residual /= 2.0 * units.hbar
-    return np.subtract(chi_ff.values.imag, residual, out=residual)

@@ -238,7 +238,7 @@ class TestNormalize:
     def test_normalize_requires_one_grid(self, generic_params, grid129):
         sym = q.cavity_spectra(generic_params, grid129)
         susc = q.cavity_susceptibilities(generic_params, _single_point_grid(0.9))
-        with pytest.raises(ValueError, match="live on different grids"):
+        with pytest.raises(q.GridMismatchError, match="susc lives on a different grid"):
             q.normalize(sym, susc)
 
     def test_force_channel_passes_through(self, generic_params, grid129):

@@ -165,6 +165,47 @@ class TestBufferOwnership:
             assert not np.shares_memory(x.values, y.values), (a, b)
 
 
+def _closed_forms(grid: q.FrequencyGrid) -> dict:
+    params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1.3, theta=0.4)
+    found = {"susc": q.cavity_susceptibilities(params, grid),
+             "sym": q.cavity_spectra(params, grid),
+             "unsym": q.cavity_unsym_spectra(params, grid)}
+    found["norm"] = q.normalize(found["sym"], found["susc"])
+    return found
+
+
+# each record or call with one input on another grid (b's), and the field
+# or argument the error names
+_GRID_MISMATCHES = {
+    "SusceptibilitySet": (lambda a, b: dataclasses.replace(
+        a["susc"], chi_zf=b["susc"].chi_zf), "chi_zf"),
+    "SpectraSet": (lambda a, b: dataclasses.replace(
+        a["unsym"], s_zf=b["unsym"].s_zf), "s_zf"),
+    "NormalizedSpectra": (lambda a, b: dataclasses.replace(
+        a["norm"], cross=b["norm"].cross), "cross"),
+    "normalize": (lambda a, b: q.normalize(a["sym"], b["susc"]), "susc"),
+    "constraint_report": (lambda a, b: q.constraint_report(a["unsym"], b["susc"]),
+                          "susc"),
+    "kubo_check": (lambda a, b: q.kubo_check(a["unsym"].s_ff, b["susc"].chi_ff,
+                                             q.UnitConvention()), "chi_ff"),
+    "assemble_mimo_matrix": (lambda a, b: q.assemble_mimo_matrix(
+        [a["unsym"], b["unsym"]]), r"spectra_sets\[1\]"),
+}
+
+
+class TestOneGridRule:
+    @pytest.mark.parametrize("case", list(_GRID_MISMATCHES))
+    def test_mismatch_raises_a_named_grid_error(self, case):
+        make, name = _GRID_MISMATCHES[case]
+        # two 17-point grids: the mismatch is in the points, not the size
+        on, off = (_closed_forms(q.make_symmetric_grid(w, 8)) for w in (4.0, 1.0))
+        make(on, on)
+        with pytest.raises(q.GridMismatchError,
+                           match=f"^{name} lives on a different grid$") as info:
+            make(on, off)
+        assert isinstance(info.value, ValueError)
+
+
 class TestCavityParams:
     def test_validation(self):
         with pytest.raises(ValueError):

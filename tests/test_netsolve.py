@@ -402,6 +402,44 @@ class TestGramianPaths:
         net = dataclasses.replace(net, drift=net.drift - 1e-12)
         assert np.array_equal(net._gramian, np.eye(1))
 
+    def test_rate_scale_leaves_every_array_but_a_power_of_two(self):
+        # rates times s = 4^k, couplings times 2^k and the force times s: the
+        # Gramian is unchanged and each array gains 2^(k * power). A unit
+        # floor in the identity test would short-circuit this Gramian from
+        # k = -25, with chi_ff off by 424 % of its peak.
+        base = dataclasses.replace(
+            _random_stable_network(np.random.default_rng(3), n_modes=4),
+            input_states=q.InputState.thermal(0.5))
+        powers = {"chi_zf": 1, "chi_ff": 2, "chi_zz": 0, "chi_fz": 1, "s_zz": 0,
+                  "s_zf": 1, "s_ff": 2, "sym_zz": 0, "sym_zf": 1, "sym_ff": 2,
+                  "kubo": 2}
+
+        def arrays(k):
+            net = dataclasses.replace(
+                base, drift=base.drift * 4.0 ** k,
+                input_coupling=base.input_coupling * 2.0 ** k,
+                output_coupling=base.output_coupling * 2.0 ** k,
+                force=q.Observable(base.force.mode_quad * 4.0 ** k,
+                                   base.force.output_quad))
+            grid = q.FrequencyGrid(q.make_symmetric_grid(5.0, 32).points * 4.0 ** k)
+            out = _engine_outputs(net, grid)
+            unsym = q.solve_unsym_spectra(net, grid)
+            sym = q.symmetrize(unsym)
+            out.update(sym_zz=sym.s_zz.values, sym_zf=sym.s_zf.values,
+                       sym_ff=sym.s_ff.values,
+                       kubo=q.kubo_check(unsym.s_ff, q.solve_susceptibilities(
+                           net, grid).chi_ff, net.units).values)
+            return net._gramian, out
+
+        gramian, ref = arrays(0)
+        assert not np.allclose(gramian, np.eye(4))
+        for k in range(-30, 31):
+            got_gramian, got = arrays(k)
+            assert np.array_equal(got_gramian, gramian), k
+            for name, power in powers.items():
+                scaled = ref[name].view(float) * 2.0 ** (k * power)
+                assert np.array_equal(got[name].view(float), scaled), (k, name)
+
     def test_overflowing_couplings_raise(self, grid129):
         # B B^dag = 1e400: an overflowed scale must not pass the identity test
         net = q.LinearNetwork(
@@ -819,7 +857,7 @@ class TestKubo:
     def test_grids_must_match(self, generic_params, grid129):
         net = q.build_one_sided_cavity(generic_params)
         other = q.make_symmetric_grid(5.0, 8)
-        with pytest.raises(q.GridMismatchError, match="grids differ"):
+        with pytest.raises(q.GridMismatchError, match="chi_ff lives on a different grid"):
             q.kubo_check(q.solve_unsym_spectra(net, grid129).s_ff,
                          q.solve_susceptibilities(net, other).chi_ff, net.units)
 

@@ -1,5 +1,6 @@
 """The package surface: its exported names, its imports and its scripts."""
 
+import ast
 import gc
 import re
 import runpy
@@ -15,6 +16,8 @@ from qdetnoise import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+# one Hermitian, positive semidefinite 2x2 block as re,im cell pairs
+_BLOCKS_CSV = "0.0,1.0,0.0,0.5,0.0,0.5,0.0,1.0,0.0\n"
 
 # prepended to each fresh-process script: any import of scipy fails
 _NO_SCIPY = """
@@ -58,8 +61,10 @@ for n in (4, 16):
 grid = q.make_symmetric_grid(1.0, 4)
 for net in nets:
     assert not np.allclose(net._gramian, np.eye(net.n_modes))
-    q.solve_susceptibilities(net, grid)
-    q.solve_unsym_spectra(net, grid)
+    chi_ff = q.solve_susceptibilities(net, grid).chi_ff
+    residual = q.kubo_check(q.solve_unsym_spectra(net, grid).s_ff, chi_ff, net.units)
+    # the fluctuation-dissipation identity holds off the identity Gramian
+    assert np.max(np.abs(residual.values)) <= 1e-10 * np.max(np.abs(chi_ff.values.imag))
 """
 
 _DEFECTIVE_SOLVE = """
@@ -90,8 +95,7 @@ def _run_fresh(code, cwd):
 
 
 def test_runtime_needs_no_scipy(tmp_path):
-    # one Hermitian, positive semidefinite 2x2 block as re,im cell pairs
-    (tmp_path / "blocks.csv").write_text("0.0,1.0,0.0,0.5,0.0,0.5,0.0,1.0,0.0\n")
+    (tmp_path / "blocks.csv").write_text(_BLOCKS_CSV)
     for code in (_CLI_RUNS, _NON_PASSIVE_SOLVES, _DEFECTIVE_SOLVE):
         _run_fresh(_NO_SCIPY + code, tmp_path)
     with pytest.raises(AssertionError, match="scipy is blocked"):
@@ -134,6 +138,8 @@ assert loaded() == set(), loaded()
 assert set(q.__all__) <= set(dir(q))
 assert q.cli is sys.modules["qdetnoise.cli"]
 assert q.netsolve is sys.modules["qdetnoise.netsolve"]
+import qdetnoise.constraints
+assert "qdetnoise.cavity" not in sys.modules
 """
 
 # each command's runs, then the modules that none of them may load
@@ -154,11 +160,24 @@ def test_import_loads_no_submodule(tmp_path):
 @pytest.mark.parametrize("runs,unused", [
     ([["qubit"], ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3"],
       ["spectra", "--n-half=8"]], {"qdetnoise.netsolve", "qdetnoise.constraints"}),
-    ([["check", "--n-half=8"]], {"qdetnoise.apps"}),
-], ids=["qubit-mech-vacuum-spectra", "check"])
+    ([["check", "--n-half=8"]], {"qdetnoise.apps", "qdetnoise.cavity"}),
+    ([["mimo-check", "--mimo-input=blocks.csv"]],
+     {"qdetnoise.apps", "qdetnoise.cavity"}),
+], ids=["qubit-mech-vacuum-spectra", "check", "mimo-check"])
 def test_commands_load_only_their_layers(runs, unused, tmp_path):
+    (tmp_path / "blocks.csv").write_text(_BLOCKS_CSV)
     _run_fresh(f"RUNS = {runs!r}\nUNUSED = {unused!r}\n" + _COMMAND_MODULES,
                tmp_path)
+
+
+def test_only_core_lends_private_names():
+    # the rules several layers share live in core; any other private name
+    # stays in its module, also where a function imports it
+    for path in sorted((ROOT / "src" / "qdetnoise").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "core":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
 
 
 def test_each_name_is_its_modules_object():
