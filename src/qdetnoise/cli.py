@@ -52,7 +52,11 @@ from .core import (CavityParams, ComplexSpectrum, InputState, MechOscillator,
 from .errors import InvalidMatrixError, QDetNoiseError
 
 _FORMATS = ("csv", "json")
-_CHUNK_ROWS = 4096  # table rows formatted and written at a time
+_CHUNK_ROWS = 4096  # rows of a JSON column formatted and written at a time
+# float cells of a CSV block, across its float columns: 8 bytes a cell keeps
+# each float temporary at 96 KiB, under glibc's 128 KiB mmap threshold, so
+# the blocks reuse heap pages instead of faulting in fresh ones
+_CHUNK_CELLS = 12288
 
 
 def _option(default, help: str, flag: str | None = None, **parser_kwargs):
@@ -218,12 +222,18 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     conversion runs before the file is opened, so an error leaves no file
     behind.  Both formats then stream block by block into the open file,
     from encoders that cannot fail on the finite floats, strings and config
-    values they are given.  Float cells are formatted ``_CHUNK_ROWS`` rows
-    at a time by :mod:`._format`, which hands the rare cells it cannot
-    decide (within 1e-6 of a rounding tie or an edge, or subnormal) to
-    Python: CSV rows by :func:`._format.format_e16`, with the scalars
-    formatted once as a suffix shared by every row; JSON one top-level key
-    at a time, a float column by :func:`._format.format_repr`.
+    values they are given.  Float cells are formatted a block at a time by
+    :mod:`._format`, which hands the rare cells it cannot decide (within
+    1e-6 of a rounding tie or an edge, or subnormal) to Python: CSV a block
+    of rows of about ``_CHUNK_CELLS`` cells across every float column by
+    :func:`._format.format_e16`, with the scalars formatted once as a
+    suffix shared by every row; JSON one top-level key at a time, a float
+    column ``_CHUNK_ROWS`` cells at a time by
+    :func:`._format.format_repr`, whose temporaries per cell are about
+    2.5 times ``format_e16``'s.  So the writer's working memory is bounded
+    by the block, whatever the table's length and width; the caller's
+    columns are read in place, and only the verdict labels are a
+    whole-column copy.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
     cells = {name: (_verdict_labels(col) if name == "verdict"
@@ -281,11 +291,14 @@ def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
 
 def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
                 scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
-    """The CSV header, then the rows, formatted ``_CHUNK_ROWS`` at a time.
+    """The CSV header, then the rows, formatted a block of rows at a time.
 
-    A block of rows is one :func:`_join` of each column's zero-padded field
-    (a float column's from one :func:`._format.format_e16` call over the
-    block, a label column's bytes) and a comma, then the scalars and newline.
+    A block holds about ``_CHUNK_CELLS`` float cells over all float columns
+    (at least one row), so a wide table is formatted in shorter blocks and
+    its working memory does not grow with its width. A block of rows is one
+    :func:`_join` of each column's zero-padded field (a float column's from
+    one :func:`._format.format_e16` call over the block, a label column's
+    bytes) and a comma, then the scalars and newline.
     """
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
     yield head.encode("ascii")
@@ -294,9 +307,10 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
         suffix = "," + suffix
     floats = [col for col in cells.values() if col.dtype == float]
     n_rows = len(next(iter(cells.values()))) if cells else 1
-    for first in range(0, n_rows, _CHUNK_ROWS):
-        rows = slice(first, first + _CHUNK_ROWS)
-        n = min(_CHUNK_ROWS, n_rows - first)
+    step = max(1, _CHUNK_CELLS // max(len(floats), 1))
+    for first in range(0, n_rows, step):
+        rows = slice(first, first + step)
+        n = min(step, n_rows - first)
         text = iter(format_e16(np.array([col[rows] for col in floats])))
         parts = []
         for col in cells.values():
@@ -400,6 +414,7 @@ def cmd_check(cfg: RunConfig) -> int:
     susc = solve_susceptibilities(net, grid)
     spectra = solve_unsym_spectra(net, grid)
     report = constraint_report(spectra, susc)
+    del susc, spectra  # the table reads the report alone: free them before the write
     columns = {
         "omega": grid.points,
         "uncertainty_gap": report.uncertainty_gap,
@@ -440,24 +455,42 @@ def cmd_mech(cfg: RunConfig) -> int:
 
 
 def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """omega and the (rows, 2N, 2N) blocks of a MIMO input file.
+
+    Blank lines, ``#`` comments and a header starting ``omega`` are skipped.
+    The first data row fixes the width, which must hold omega and the re,im
+    pairs of a square even-dimension block. The rows then stream into
+    ``np.loadtxt`` through a generator that counts each row's commas, so
+    no list of lines is held beside the parsed array; a row of another
+    width raises as it is reached, and a cell that does not parse raises
+    from ``np.loadtxt`` as it is reached. omega is checked once all rows
+    are read.
+    """
     with path.open(encoding="utf-8") as fh:
-        lines = [line for line in map(str.strip, fh)
-                 if line and not line.startswith(("#", "omega"))]
-    if not lines:
-        raise ValueError(f"no data rows in MIMO input {path}")
-    commas = lines[0].count(",")
-    if any(line.count(",") != commas for line in lines):
-        raise ValueError("ragged MIMO input: rows differ in column count")
-    width = commas + 1
-    if width < 9 or (width - 1) % 2:
-        raise ValueError(
-            "each MIMO row must hold omega plus re,im pairs of a 2Nx2N block")
-    n_cells = (width - 1) // 2
-    dim = math.isqrt(n_cells)
-    if dim * dim != n_cells or dim % 2:
-        raise ValueError(
-            f"{n_cells} cells per row do not form a square even-dimension block")
-    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        lines = (line for line in map(str.strip, fh)
+                 if line and not line.startswith(("#", "omega")))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"no data rows in MIMO input {path}")
+        commas = first.count(",")
+        width = commas + 1
+        if width < 9 or (width - 1) % 2:
+            raise ValueError(
+                "each MIMO row must hold omega plus re,im pairs of a 2Nx2N block")
+        n_cells = (width - 1) // 2
+        dim = math.isqrt(n_cells)
+        if dim * dim != n_cells or dim % 2:
+            raise ValueError(
+                f"{n_cells} cells per row do not form a square even-dimension block")
+
+        def rows() -> Iterator[str]:
+            yield first
+            for line in lines:
+                if line.count(",") != commas:
+                    raise ValueError("ragged MIMO input: rows differ in column count")
+                yield line
+
+        data = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
     bad = np.flatnonzero(~np.isfinite(data[:, 0]))
     if bad.size:
         raise ValueError(f"omega is not finite in data row {bad[0] + 1} of {path}")

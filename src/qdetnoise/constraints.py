@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FrequencyGrid, SpectraSet, SusceptibilitySet, UnitConvention,
-                   _kubo_residual, _require_grid, _require_signal)
+                   _blocks, _kubo_residual, _require_grid, _require_signal)
 from .errors import InvalidMatrixError, NotAValidDetectorError
 from .netsolve import symmetrize
 
@@ -127,20 +127,29 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float,
     Finite spectra whose terms overflow float64 raise ValueError: the input
     is out of range, not inconsistent. The five terms' finiteness is read
     only when d0 or the scale is not finite somewhere, to tell the two apart.
+
+    The grid is walked in blocks of points (``core._blocks``), each
+    written into the three result arrays, so the terms' temporaries are one
+    block's whatever the grid. Overflow and invalid values are ignored
+    here, and the CLI ignores underflow, so no operation of the walk raises
+    and the blocks cannot change which error a caller sees first.
     """
     s_zz = spectra.s_zz.values.real
     s_ff = spectra.s_ff.values.real
     s_zf = spectra.s_zf.values
     chi_zf = susc.chi_zf.values
     chi_ff = susc.chi_ff.values
+    d0, im_term, scale = (np.empty(len(signal)) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
-        zz_ff = s_zz * s_ff
-        zf_sq = np.abs(s_zf) ** 2
-        chi_sq = 0.25 * hbar ** 2 * signal
-        im_term = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
-        scale = np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
-                           np.maximum(chi_sq, np.abs(im_term)))
-        d0 = zz_ff - zf_sq - chi_sq
+        for a, b in _blocks(len(signal), 1):
+            zz_ff = s_zz[a:b] * s_ff[a:b]
+            zf_sq = np.abs(s_zf[a:b]) ** 2
+            chi_sq = 0.25 * hbar ** 2 * signal[a:b]
+            im = np.multiply(hbar, np.imag(np.conj(s_zf[a:b]) * chi_zf[a:b]
+                                           - chi_ff[a:b] * s_zz[a:b]), out=im_term[a:b])
+            np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
+                       np.maximum(chi_sq, np.abs(im)), out=scale[a:b])
+            np.subtract(zz_ff - zf_sq, chi_sq, out=d0[a:b])
     overflow = ~(np.isfinite(d0) & np.isfinite(scale))
     if not np.any(overflow):
         return d0, im_term, scale
@@ -194,6 +203,13 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray
     finite, Hermitian to 1e-12 of its largest entry and positive
     semidefinite to _TOL of it at every frequency, or InvalidMatrixError
     is raised; a determinant that overflows float64 raises ValueError.
+
+    The checks run in that order, each over every frequency before the
+    next, and each names the first frequency it fails at. The largest
+    entry and the Hermiticity defect are formed a block of rows at a time
+    (``core._blocks``), each into one value per frequency, so beside
+    the input the check holds per-frequency arrays and one block's
+    temporaries, not whole-stack copies.
     """
     mat = np.asarray(spectral_matrix, dtype=complex)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] % 2:
@@ -203,8 +219,16 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray
     if not finite.all():
         raise InvalidMatrixError(
             f"spectral matrix at grid index {int(np.argmin(finite))} is not finite")
-    scale = np.max(np.abs(mat), axis=(1, 2))
-    herm_defect = np.max(np.abs(mat - np.conj(np.swapaxes(mat, 1, 2))), axis=(1, 2))
+    dim = mat.shape[1]
+    blocks = _blocks(len(mat), dim * dim)
+    scale, herm_defect = np.empty((2, len(mat)))
+    # every |entry| before any difference: an overflow raises where it did
+    for a, b in blocks:
+        np.max(np.abs(mat[a:b]), axis=(1, 2), out=scale[a:b])
+    for a, b in blocks:
+        block = mat[a:b]
+        np.max(np.abs(block - np.conj(np.swapaxes(block, 1, 2))), axis=(1, 2),
+               out=herm_defect[a:b])
     bad = herm_defect > _HERMITICITY_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -216,15 +240,15 @@ def mimo_quantum_limit(spectral_matrix: np.ndarray
         idx = int(np.argmax(np.min(eigs, axis=1) < 0))
         raise InvalidMatrixError(
             f"spectral matrix at grid index {idx} is not positive semidefinite")
-    # mantissas multiplied, exponents summed: no partial product under/overflows
-    mant, expo = np.frexp(eigs)
+    # mantissas multiplied, exponents summed: no partial product under/overflows;
+    # the mantissas take the eigenvalues' buffer
+    mant, expo = np.frexp(eigs, out=(eigs, None))
     with np.errstate(over="ignore"):
         dets = np.ldexp(np.prod(mant, axis=1), np.sum(expo, axis=1))
     if not np.isfinite(dets).all():
         raise ValueError(
             f"determinant at grid index {int(np.argmin(np.isfinite(dets)))} "
             "overflows float64: the spectral matrix is out of range")
-    dim = mat.shape[1]
     mean = np.maximum(np.einsum("kii->k", mat).real / dim, np.finfo(float).tiny)
     # every block is positive semidefinite, so a negative determinant is
     # round-off and the verdict is two-way; and det <= mean**dim, so dividing
@@ -250,6 +274,15 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     GridMismatchError. Raises SingularNormalizationError where the
     readout carries no signal, (hbar^2/4)|chi_zf|^2 <= eps * scale, since the
     two equalities are referred to the signal and round-off is not one.
+
+    Memory: beside its inputs the audit holds the symmetrized spectra,
+    |chi_zf| and its square, and the gap's three terms, which
+    ``_gap_terms`` forms a block of points at a time. The symmetrized S_zz
+    and S_zf are dropped once read, the floor takes |chi_zf|'s buffer and
+    each residual the buffer of a term it was the last to read, so the
+    peak above the inputs is about a dozen float columns of the grid. The
+    operations that may raise under ``np.errstate`` run in the order of the
+    formulas above, so an input's first error does not depend on them.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
@@ -264,18 +297,23 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     with np.errstate(over="ignore"):  # an overflow raises in _gap_terms
         signal = amplitude ** 2
     d0, im_term, scale = _gap_terms(sym, susc, units.hbar, signal)
+    s_ff_sym = sym.s_ff.values.real
+    del sym  # S_zz and S_zf, symmetrized, are read: drop them
     # as amplitudes, since a floor whose square underflows is out of range
-    floor = 0.5 * units.hbar * amplitude
+    floor = np.multiply(amplitude, 0.5 * units.hbar, out=amplitude)
     _require_signal(susc.grid, np.isfinite(scale)
                     & (floor <= np.sqrt(np.finfo(float).eps * scale)))
+    del floor, amplitude
     gap = d0 - np.abs(im_term)
+    # each residual takes the buffer of a term it was the last to read; the
+    # operations that may raise keep the order of the plain expressions
     return ConstraintReport(
         grid=spectra_unsym.grid,
         uncertainty_gap=gap,
-        product_residual=d0 / signal,
-        correlation_residual=-im_term / (units.hbar * signal),
+        product_residual=np.divide(d0, signal, out=d0),
+        correlation_residual=np.divide(np.negative(im_term, out=im_term), np.multiply(
+            units.hbar, signal, out=signal), out=im_term),
         kubo_residual=_kubo_residual(spectra_unsym.s_ff, susc.chi_ff, units),
-        positivity_margin=(sym.s_ff.values.real
-                           - units.hbar * np.abs(susc.chi_ff.values.imag)),
-        verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300)),
+        positivity_margin=s_ff_sym - units.hbar * np.abs(susc.chi_ff.values.imag),
+        verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300, out=scale)),
     )

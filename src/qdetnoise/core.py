@@ -16,8 +16,9 @@ shares, so the engine and the audit need not import the closed forms. The
 records are ``SusceptibilitySet``, ``SpectraSet`` and
 ``NormalizedSpectra``. The rules are one grid check (``_require_grid``),
 which every record applies to its own spectra when built, the
-float64-range guard of the solvers and closed forms, the no-signal check
-and the Kubo residual.
+float64-range guard of the solvers and closed forms, the no-signal check,
+the Kubo residual and the blocks of rows that bound each layer's
+temporaries.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ import numpy as np
 from .errors import GridMismatchError, SingularNormalizationError
 
 _IMAG_TOL = 1e-12
+# Bytes of per-point complex temporaries a layer forms at a time: the
+# engine's resolvent and spectra form, the audit's gap terms and the MIMO
+# check walk their rows in blocks of this size, so their working memory
+# does not grow with the grid.
+_BLOCK_BYTES = 100_000
 
 
 def _require_finite(record) -> None:
@@ -423,3 +429,16 @@ def _kubo_residual(s_ff_unsym: ComplexSpectrum, chi_ff: ComplexSpectrum,
     residual = np.subtract(s, s[::-1])
     residual /= 2.0 * units.hbar
     return np.subtract(chi_ff.values.imag, residual, out=residual)
+
+
+def _blocks(size: int, width: int) -> list[tuple[int, int]]:
+    """Ranges [a, b) that cover range(size), with (b - a) * width complex
+    values near _BLOCK_BYTES; width is what one point holds.
+
+    Each block but the last holds a multiple of 16 points. BLAS kernels
+    and numpy's vector loops tile the point axis, and a block edge inside a
+    tile would round that tile's sums differently from one pass over the
+    whole grid.
+    """
+    step = max(16, _BLOCK_BYTES // (256 * width) * 16)
+    return [(a, min(a + step, size)) for a in range(0, size, step)]

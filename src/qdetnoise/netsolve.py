@@ -29,8 +29,11 @@ right-hand side, B for the spectra and [v_z v_f] for the susceptibilities,
 so one pass per network and grid solves rhs = [B | v_z v_f]. The first
 solver on a grid computes it and leaves the other solver's half on the
 network, keyed by the grid; the other solver takes that half and drops it.
-So once both have run the network holds nothing, and a repeated call or a
-call on another grid computes the pass again. The drift is diagonalised
+The pass copies each block's product out into separate arrays per half,
+so the network holds the other solver's rows alone (2 points lines complex
+values for the spectra, 4 points for the susceptibilities), not the whole
+pass. So once both have run the network holds nothing, and a repeated call
+or a call on another grid computes the pass again. The drift is diagonalised
 once per network, A = V diag(lambda) V^{-1}, so that
 
     R(omega) = V diag(1 / (-i omega - lambda)) V^{-1}
@@ -42,15 +45,16 @@ only for cond(V) <= 40; otherwise, and for defective drifts, R is solved
 at every grid point in batches, where it is 1-2e-15. Both
 routes, and the spectra form, walk the grid in blocks of points, so their
 temporaries do not grow with the grid: about 100 KB for g = 1/(-i omega -
-lambda), for the batched solve's n x n systems and for the spectra's
-block buffer. The spectra block of points [a, b) writes its +omega rows
-and the mirrored rows [W - b, W - a), reversed, for -omega straight into
-that buffer, forms its one kernel product into a second buffer, conjugates
-the first in place and sums only the (z, z), (z, f) and (f, f) entries of
-the form; the two buffers are allocated once and reused by every block. The
-controllability Gramian of a non-passive network is one dense solve of the
-vectorised Lyapunov equation, n^2 unknowns at O(n^6) time, and does not use
-the eigenvectors, so cond(V) governs only the resolvent. Input states are
+lambda) or the batched solve's n x n systems with the block's product, and
+for the spectra's block buffer. The spectra block of points [a, b) writes
+its +omega rows and the mirrored rows [W - b, W - a), reversed, for -omega
+straight into that buffer, forms its one kernel product into a second
+buffer, conjugates the first in place and sums only the (z, z), (z, f)
+and (f, f) entries of the form; the two buffers are allocated once and
+reused by every block. The controllability Gramian of a non-passive
+network is one dense solve of the vectorised Lyapunov equation, n^2
+unknowns at O(n^6) time, and does not use the eigenvectors, so cond(V)
+governs only the resolvent. Input states are
 white: each line carries frequency-independent moments (N, M), derived from
 its InputState.
 
@@ -76,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
-                   SpectraSet, SusceptibilitySet, UnitConvention, _adopt,
+                   SpectraSet, SusceptibilitySet, UnitConvention, _adopt, _blocks,
                    _in_float64_range, _kubo_residual)
 from .errors import StabilityError
 
@@ -85,10 +89,6 @@ _SQRT2 = np.sqrt(2.0)
 # from the drift's eigen-decomposition: on a 2-mode detector near an
 # exceptional point, the gap's error first exceeds 1e-12 of its scale at 47.
 _MAX_MODE_COND = 40.0
-# Bytes of per-point complex temporaries the engine forms at a time: the
-# resolvent and the spectra form walk the grid in blocks of this size, so
-# their working memory does not grow with the grid.
-_BLOCK_BYTES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,46 +303,50 @@ def build_one_sided_cavity(params: CavityParams,
     )
 
 
-def _blocks(size: int, width: int) -> list[tuple[int, int]]:
-    """Ranges [a, b) that cover range(size), with (b - a) * width complex
-    values near _BLOCK_BYTES; width is what one point holds.
+def _observable_rows(net: LinearNetwork, parts: list[np.ndarray],
+                     grid: FrequencyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(alpha_O + C^T mu_O)^T R(omega) rhs for the readout and the force,
+    for each right-hand side rhs in ``parts``, from one pass over the grid.
 
-    Each block but the last holds a multiple of 16 points. BLAS kernels
-    tile the point axis, and a block edge inside a tile would round that
-    tile's sums differently from one product over the whole grid.
-    """
-    step = max(16, _BLOCK_BYTES // (256 * width) * 16)
-    return [(a, min(a + step, size)) for a in range(0, size, step)]
-
-
-def _observable_rows(net: LinearNetwork, rhs: np.ndarray,
-                     grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha_O + C^T mu_O)^T R(omega) rhs for the readout and the force.
-
-    With V well conditioned, R(omega) = V diag(g(omega)) V^{-1}, and both
-    results come from g @ [p_z q | p_f q] with p_O = row_O V and
-    q = V^{-1} rhs. Otherwise R(omega) = (-i omega I - A)^{-1} is solved at
-    every grid point in batches. Either way the grid is walked in blocks
-    sized by what a point holds: n values of g, or the batched solve's n x n
-    system. Callers on a symmetric grid read -omega as the reversed array.
+    With V well conditioned, R(omega) = V diag(g(omega)) V^{-1}, and each
+    block of points is one product g @ [p_z q | p_f q] with p_O = row_O V
+    and q = V^{-1} [rhs_1 | rhs_2 | ...]. Otherwise R(omega) = (-i omega I -
+    A)^{-1} is solved at every grid point in batches. Either way the grid
+    is walked in blocks sized by the larger of what a point holds: n values
+    of g, or the batched solve's n x n system, and the 2k values of the
+    block's product. That product goes into one block buffer, reused
+    by every block, whose columns are copied out to a (points x columns)
+    array per part and observable. So each part's rows own their memory,
+    and one can be kept while the others are dropped. Callers on a
+    symmetric grid read -omega as the reversed array.
     """
     w = grid.points
     rows = np.array([net._effective_mode_row(obs) for obs in (net.readout, net.force)])
+    rhs = np.column_stack(parts)
     k = rhs.shape[1]
-    out = np.empty((w.size, 2 * k), dtype=complex)
+    edges = np.cumsum([0] + [part.shape[1] for part in parts])
+    out = [tuple(np.empty((w.size, b - a), dtype=complex) for _ in rows)
+           for a, b in zip(edges, edges[1:])]
     lam, v = net._modes
     if v is None:
         eye = np.eye(net.n_modes)
-        for a, b in _blocks(w.size, net.n_modes ** 2):
-            lhs = (-1j * w[a:b])[:, None, None] * eye - net.drift
-            r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (b - a,) + rhs.shape))
-            np.einsum("on,pnm->pom", rows, r_rhs, out=out[a:b].reshape(b - a, 2, k))
+        blocks = _blocks(w.size, max(net.n_modes ** 2, 2 * k))
     else:
         q = np.linalg.solve(v, rhs)
         pq = np.hstack([(row @ v)[:, None] * q for row in rows])
-        for a, b in _blocks(w.size, net.n_modes):
-            np.matmul(1.0 / ((-1j * w[a:b])[:, None] - lam), pq, out=out[a:b])
-    return out[:, :k], out[:, k:]
+        blocks = _blocks(w.size, max(net.n_modes, 2 * k))
+    buf = np.empty((blocks[0][1] - blocks[0][0], 2 * k), dtype=complex)
+    for a, b in blocks:
+        if v is None:
+            lhs = (-1j * w[a:b])[:, None, None] * eye - net.drift
+            r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (b - a,) + rhs.shape))
+            np.einsum("on,pnm->pom", rows, r_rhs, out=buf[:b - a].reshape(b - a, 2, k))
+        else:
+            np.matmul(1.0 / ((-1j * w[a:b])[:, None] - lam), pq, out=buf[:b - a])
+        for part, c, d in zip(out, edges, edges[1:]):
+            for o, dest in enumerate(part):
+                dest[a:b] = buf[:b - a, o * k + c:o * k + d]
+    return out
 
 
 def _response_rhs(net: LinearNetwork) -> np.ndarray:
@@ -360,25 +364,26 @@ def _shared_rows(net: LinearNetwork, grid: FrequencyGrid, half: int
     [v_z v_f] (half 1, the susceptibilities'), from one pass for both.
 
     A call whose half the network holds for this grid takes it and drops
-    it. Any other call solves rhs = [B | v_z v_f] in one _observable_rows
-    call, returns its half and leaves the other on the network, in place
-    of whatever it held. So the second solver on a grid reuses the first
-    one's pass, and once both have run the network holds nothing. When the
-    Gramian overflows, the spectra's call solves rhs = B alone and leaves
-    nothing, and the susceptibilities' call raises its ValueError.
+    it. Any other call solves both right-hand sides in one _observable_rows
+    pass, returns its half and leaves the other on the network, in place
+    of whatever it held. Each half is arrays of its own, so the network
+    holds only the other solver's rows: 2 points lines complex values for
+    the spectra, 4 points for the susceptibilities. So the second solver
+    on a grid reuses the first one's pass, and once both have run the
+    network holds nothing. When the Gramian overflows, the spectra's call
+    solves rhs = B alone and leaves nothing, and the susceptibilities'
+    call raises its ValueError.
     """
     held = vars(net).pop("_held_rows", None)
     if held is not None and held[0] == half and held[1] == grid:
         return held[2]
-    lines = net.n_lines
     try:
-        rhs = np.column_stack([net.input_coupling, _response_rhs(net)])
+        parts = [net.input_coupling, _response_rhs(net)]
     except ValueError:  # the Gramian overflows float64
         if half:
             raise
-        return _observable_rows(net, net.input_coupling, grid)
-    rows = _observable_rows(net, rhs, grid)
-    halves = (tuple(r[:, :lines] for r in rows), tuple(r[:, lines:] for r in rows))
+        return _observable_rows(net, [net.input_coupling], grid)[0]
+    halves = _observable_rows(net, parts, grid)
     vars(net)["_held_rows"] = (1 - half, grid, halves[1 - half])
     return halves[half]
 

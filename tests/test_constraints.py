@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qdetnoise as q
+from qdetnoise import core
 from conftest import (HBARS, draw_cavity, exceptional_pair, gap_scale,
                       referred_residuals)
 
@@ -178,6 +180,25 @@ class TestConstraintReport:
         report = q.constraint_report(uns, susc)
         assert report.worst_verdict is q.Verdict.above_limit
         assert not any(v is q.Verdict.violation for v in report.verdicts)
+
+    def test_peak_beside_the_inputs_is_a_few_columns(self, generic_params):
+        # the gap terms are walked in blocks and the residuals take the
+        # buffers of spent terms: 12.3 float columns at 50,001 points,
+        # against 20.3 when every intermediate lived to the end
+        grid = q.make_symmetric_grid(5.0, 25_000)
+        uns, susc = _engine_run(generic_params, grid, q.InputState.thermal(0.8))
+        tracemalloc.start()
+        try:
+            report = q.constraint_report(uns, susc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = peak / (8 * len(grid))
+        assert columns <= 16.0, columns
+        # what is left is the five residuals and the verdicts' pointers
+        assert all(getattr(report, name).base is None for name in (
+            "uncertainty_gap", "product_residual", "correlation_residual",
+            "kubo_residual", "positivity_margin"))
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_pure_squeezed_input_is_quantum_limited(self, canonical_params,
@@ -445,6 +466,62 @@ class TestMimo:
         # a single matrix is not a stack of one
         with pytest.raises(q.InvalidMatrixError):
             q.mimo_quantum_limit(np.eye(2, dtype=complex))
+
+
+class TestMimoBoundaries:
+    """Each MIMO check at its documented tolerance, on a row after the first
+    block of rows the check walks, and the checks' order across blocks.
+    Every block is diag(2, 1, 2, 1), whose largest entry, the scale, is 2.
+    The tolerances are written out, so that a changed constant fails."""
+
+    STEP = core._blocks(10**6, 16)[0][1]  # rows per block of 4x4 matrices
+    LATE = STEP + 3
+
+    @classmethod
+    def stack(cls) -> np.ndarray:
+        rows = 2 * cls.STEP + 5
+        return np.tile(np.diag([2.0, 1.0, 2.0, 1.0]).astype(complex), (rows, 1, 1))
+
+    @pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
+    def test_hermiticity_tolerance(self, factor, passes):
+        mat = self.stack()
+        mat[self.LATE, 0, 1] = factor * 1e-12 * 2.0
+        if passes:
+            _, verdicts = q.mimo_quantum_limit(mat)
+            assert set(verdicts) == {q.Verdict.above_limit}
+            return
+        with pytest.raises(q.InvalidMatrixError,
+                           match=f"index {self.LATE} is not Hermitian"):
+            q.mimo_quantum_limit(mat)
+
+    @pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+    def test_semidefiniteness_tolerance(self, factor, passes):
+        mat = self.stack()
+        mat[self.LATE, 1, 1] = -factor * 1e-9 * 2.0
+        if passes:
+            _, verdicts = q.mimo_quantum_limit(mat)
+            # a negative determinant is round-off: it sits at the limit
+            assert verdicts[self.LATE] is q.Verdict.quantum_limited
+            return
+        with pytest.raises(q.InvalidMatrixError,
+                           match=f"index {self.LATE} is not positive semidefinite"):
+            q.mimo_quantum_limit(mat)
+
+    def test_non_finite_late_row_beats_non_hermitian_early_row(self):
+        mat = self.stack()
+        mat[1, 0, 1] = 0.5
+        mat[self.LATE, 2, 3] = complex(0.0, np.nan)
+        with pytest.raises(q.InvalidMatrixError,
+                           match=f"index {self.LATE} is not finite"):
+            q.mimo_quantum_limit(mat)
+
+    def test_non_hermitian_late_row_beats_non_semidefinite_early_row(self):
+        mat = self.stack()
+        mat[1, 1, 1] = -1.0
+        mat[self.LATE, 0, 1] = 0.5
+        with pytest.raises(q.InvalidMatrixError,
+                           match=f"index {self.LATE} is not Hermitian"):
+            q.mimo_quantum_limit(mat)
 
 
 class TestKuboInReport:

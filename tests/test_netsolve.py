@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qdetnoise as q
 from conftest import HBARS, draw_cavity, exceptional_pair, gap_scale
-from qdetnoise import netsolve
+from qdetnoise import core, netsolve
 
 HBAR = 1.0
 
@@ -58,14 +58,16 @@ def _near_exceptional_network(n_modes: int, t: float,
                              output_quad=rng.normal(size=4)))
 
 
-def _batched_rows(net: q.LinearNetwork, rhs: np.ndarray,
-                  grid: q.FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Reference resolvent: np.linalg.solve at every grid point, in one batch."""
+def _batched_rows(net: q.LinearNetwork, parts: list[np.ndarray],
+                  grid: q.FrequencyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference resolvent: np.linalg.solve at every grid point, in one batch
+    per right-hand side."""
     w = grid.points
     lhs = (-1j * w)[:, None, None] * np.eye(net.n_modes) - net.drift[None, :, :]
-    r_rhs = np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
-    return tuple(np.einsum("n,knm->km", net._effective_mode_row(obs), r_rhs)
-                 for obs in (net.readout, net.force))
+    solved = [np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+              for rhs in parts]
+    return [tuple(np.einsum("n,knm->km", net._effective_mode_row(obs), r_rhs)
+                  for obs in (net.readout, net.force)) for r_rhs in solved]
 
 
 def _engine_outputs(net: q.LinearNetwork, grid: q.FrequencyGrid) -> dict:
@@ -472,7 +474,7 @@ class TestResolventReference:
         assert np.linalg.cond(np.linalg.eig(net.drift)[1]) <= 100.0
         assert (net._modes[1] is None) == (path == "fallback")
         grid = q.make_symmetric_grid(5.0, 4)
-        got = np.array(netsolve._observable_rows(net, net.input_coupling, grid))
+        got = np.array(netsolve._observable_rows(net, [net.input_coupling], grid)[0])
         ref = _exact_rows(net, grid)
         error = (np.max(np.abs(got - ref), axis=2)
                  / np.linalg.norm(ref, axis=2))
@@ -485,7 +487,7 @@ class TestBlocks:
     @staticmethod
     def _one_block(net, grid, monkeypatch):
         with monkeypatch.context() as patch:
-            patch.setattr(netsolve, "_BLOCK_BYTES", 2**62)
+            patch.setattr(core, "_BLOCK_BYTES", 2**62)
             return _engine_outputs(net, grid)
 
     @pytest.mark.parametrize("case", ["1", "4", "16", "fallback"])
@@ -567,7 +569,7 @@ def _rows_per_rhs(net, grid, half):
     """Reference for the shared pass: one _observable_rows call for the
     half's own right-hand side, B or [v_z v_f]."""
     rhs = netsolve._response_rhs(net) if half else net.input_coupling
-    return netsolve._observable_rows(net, rhs, grid)
+    return netsolve._observable_rows(net, [rhs], grid)[0]
 
 
 class TestSharedPass:
@@ -627,6 +629,20 @@ class TestSharedPass:
     def _holds_rows(net) -> bool:
         fields = {f.name for f in dataclasses.fields(net)}
         return bool(set(vars(net)) - fields - {"_modes", "_gramian"})
+
+    @pytest.mark.parametrize("first, width", [("z", "lines"), ("s", 2)])
+    def test_held_rows_are_the_other_half_alone(self, first, width):
+        # each half is arrays of its own, so the network keeps no byte of the
+        # half that the first solver read: after the susceptibilities, the
+        # spectra's 2 points lines values; after the spectra, 4 points
+        net = _passive_test_network(4, np.random.default_rng(43),
+                                    q.InputState.thermal(0.7))
+        grid = q.make_symmetric_grid(5.0, 500)
+        self.SOLVERS[first](net, grid)
+        _, _, rows = vars(net)["_held_rows"]
+        width = net.n_lines if width == "lines" else width
+        assert all(row.base is None and row.dtype == complex for row in rows)
+        assert sum(row.size for row in rows) == 2 * len(grid) * width
 
     @pytest.mark.parametrize("first, second", [("z", "s"), ("s", "z")])
     def test_network_holds_no_rows_after_both_solvers(self, first, second):

@@ -21,8 +21,13 @@ after the other, on a network built fresh for each run, and is the cost of
 a solve; ``report_s`` is ``constraint_report`` on that pair's results, so
 the audit's share of lib-network's path shows beside the solve. Times are
 the best of three untraced runs. ``peak_mb`` is the tracemalloc peak of
-one more run of both solvers, with both results held to the end. The
-networks and grid are built, and the drift diagonalised, before each timed
+one more run of both solvers, with both results held to the end: the
+resolvent pass and its block buffer, the rows one solver leaves for the
+other, the spectra form's block buffers and the seven result arrays.
+``report_peak_mb`` is the tracemalloc peak of ``constraint_report`` on
+that run's results, traced after them, so it holds only what the audit
+makes: its intermediates, the symmetrized spectra among them, and its
+five residuals and verdicts. The networks and grid are built, and the drift diagonalised, before each timed
 run. The package is imported from the ``src`` of ``--src``, this checkout
 by default, so one script can measure two trees. One markdown table row
 is printed per case.
@@ -76,12 +81,15 @@ def measure(q, n_modes: int, points: int) -> dict:
         times["pair_s"].append(mid - start)
         times["report_s"].append(perf_counter() - mid)
     tracemalloc.start()
-    results = (q.solve_susceptibilities(net, grid), q.solve_unsym_spectra(net, grid))
+    susc, spectra = q.solve_susceptibilities(net, grid), q.solve_unsym_spectra(net, grid)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    del results
+    tracemalloc.start()
+    q.constraint_report(spectra, susc)
+    report_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {name: min(values) for name, values in times.items()} | {
-        "peak_mb": peak / 1e6, "cond_v": cond_v}
+        "peak_mb": peak / 1e6, "report_peak_mb": report_peak / 1e6, "cond_v": cond_v}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     from qdetnoise import netsolve
 
     print("| path | modes | points | cond_v | susceptibilities_s | spectra_s "
-          "| pair_s | report_s | peak_mb |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "| pair_s | report_s | peak_mb | report_peak_mb |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     default_cond = netsolve._MAX_MODE_COND
     for path in args.paths:
         netsolve._MAX_MODE_COND = default_cond if path == "eigen" else -1.0
@@ -109,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"| {path} | {n_modes} | {points} | {row['cond_v']:.3g} | "
                       f"{row['susceptibilities_s']:.4g} | {row['spectra_s']:.4g} | "
                       f"{row['pair_s']:.4g} | {row['report_s']:.4g} | "
-                      f"{row['peak_mb']:.1f} |", flush=True)
+                      f"{row['peak_mb']:.1f} | {row['report_peak_mb']:.1f} |",
+                      flush=True)
     return 0
 
 
