@@ -18,19 +18,21 @@ flag set, in any order.  ``_COMMANDS`` names the fields each command reads
 sets any other field away from its default, so the ``# config:`` echo never
 records a setting its numbers ignore.  Each command imports the library
 layers it calls when it runs, so a process loads only its own command's
-modules.  Output files are
+modules.  Each command builds its table, ``(columns, scalars)``, and
+returns it without touching a file; :func:`main` writes it with the one
+writer, ``_write``, which produces both formats.  Output files are
 byte-deterministic: no timestamps, fixed float formatting, a single
-``# config:`` echo line as the only metadata.  One writer, ``_write``,
-produces both formats.
+``# config:`` echo line as the only metadata.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad configuration (including a
 non-finite float flag or input state, a flag the command does not read, a
 library warning that the warning filters turn into an error, and a finite
 configuration whose arithmetic overflows float64 or divides by zero, which
-writes no file) or malformed input file, 3 constraint violation (including
-invalid spectral matrices), 4 physically degenerate regime (no readout gain,
-no positive red sideband weight for an occupied oscillator, unstable
-spring).
+writes no file) or malformed input file, 3 constraint violation (a table
+whose worst verdict is ``violation``, after its file is written, or invalid
+spectral matrices, which write no file), 4 physically degenerate regime (no
+readout gain, no positive red sideband weight for an occupied oscillator,
+unstable spring).
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ def _output_path(cfg: RunConfig) -> Path:
 
 
 def _write(cfg: RunConfig, columns: dict[str, Sequence],
-           scalars: dict[str, float] | None = None) -> None:
-    """Write one table in the configured format.
+           scalars: dict[str, float] | None = None) -> str | None:
+    """Write one table in the configured format; return the value of its
+    most severe verdict, or None for a table without a ``verdict`` column.
 
     Float cells are ``%.16e`` in CSV and shortest-repr numbers in JSON.  CSV
     repeats each scalar down a column after the others (a table of scalars
@@ -214,7 +217,8 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.  The
     verdict column becomes one zero-padded label array (``dtype="S"``),
     indexed by each member's rank, whose rows both formats place as they
-    place a formatted float block.
+    place a formatted float block; the same rank pass gives the most severe
+    verdict, which ``worst_verdict`` and :func:`main`'s exit code read.
 
     A non-finite cell in a float column is rejected with ValueError, as
     the finite configuration it came from has overflowed; a scalar may be
@@ -236,9 +240,12 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     whole-column copy.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells = {name: (_verdict_labels(col) if name == "verdict"
-                    else np.asarray(col, dtype=float))
-             for name, col in columns.items()}
+    cells, worst = {}, None
+    for name, col in columns.items():
+        if name == "verdict":
+            cells[name], worst = _verdict_labels(col)
+        else:
+            cells[name] = np.asarray(col, dtype=float)
     for name, col in cells.items():
         if col.dtype == float and not np.isfinite(col).all():
             raise ValueError(f"column {name} overflows float64 at row "
@@ -248,28 +255,31 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
         chunks = _csv_chunks(cfg, cells, scalars)
     else:
         doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
-        if "verdict" in columns:
-            from .constraints import Verdict
-            doc["worst_verdict"] = Verdict.worst(columns["verdict"]).value
+        if worst is not None:
+            doc["worst_verdict"] = worst
         chunks = _json_chunks(doc)
     with _output_path(cfg).open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
+    return worst
 
 
-def _verdict_labels(col: Sequence) -> np.ndarray:
+def _verdict_labels(col: Sequence) -> tuple[np.ndarray, str]:
     """The value of each Verdict in ``col`` as one zero-padded label array
     (``dtype="S"``), indexed by the rank that comparing the whole column
-    with each member in turn finds. A member's rank is its place in the
-    definition order of Verdict, the documented severity order."""
+    with each member in turn finds, and the value of the highest rank
+    found (``quantum_limited`` for an empty column). A member's rank is
+    its place in the definition order of Verdict, the documented severity
+    order."""
     # loaded already, by the command whose audit gave the verdicts
     from .constraints import Verdict
     members = np.array(list(Verdict), dtype=object)
     found = np.asarray(col, dtype=object) == members[:, None]
     if not found.any(axis=0).all():
         raise TypeError("a verdict column holds Verdict members only")
+    rank = np.argmax(found, axis=0)
     labels = np.array([v.value for v in Verdict], dtype="S")
-    return labels[np.argmax(found, axis=0)]
+    return labels[rank], members[rank.max(initial=0)].value
 
 
 def _labels(block: np.ndarray) -> np.ndarray:
@@ -347,7 +357,10 @@ def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its table, (columns, scalars), and returns it;
+# main writes it
+
+Table = tuple[dict[str, Sequence], dict[str, float]]
 
 
 def _cavity_params(cfg: RunConfig) -> CavityParams:
@@ -360,7 +373,7 @@ def _oscillator(cfg: RunConfig) -> MechOscillator:
                           mass=cfg.mass, n_occupation=cfg.n_occ)
 
 
-def cmd_spectra(cfg: RunConfig) -> int:
+def cmd_spectra(cfg: RunConfig) -> Table:
     from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 
     params = _cavity_params(cfg)
@@ -398,12 +411,11 @@ def cmd_spectra(cfg: RunConfig) -> int:
         keep = grid.points >= 0.0
         responses = {name: arr[keep] for name, arr in responses.items()}
         densities = {name: 2.0 * arr[keep] for name, arr in densities.items()}
-    _write(cfg, {**responses, **densities})
-    return 0
+    return {**responses, **densities}, {}
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    from .constraints import Verdict, constraint_report
+def cmd_check(cfg: RunConfig) -> Table:
+    from .constraints import constraint_report
     from .netsolve import (build_one_sided_cavity, solve_susceptibilities,
                            solve_unsym_spectra)
 
@@ -414,8 +426,7 @@ def cmd_check(cfg: RunConfig) -> int:
     susc = solve_susceptibilities(net, grid)
     spectra = solve_unsym_spectra(net, grid)
     report = constraint_report(spectra, susc)
-    del susc, spectra  # the table reads the report alone: free them before the write
-    columns = {
+    return {
         "omega": grid.points,
         "uncertainty_gap": report.uncertainty_gap,
         "product_residual": report.product_residual,
@@ -423,19 +434,16 @@ def cmd_check(cfg: RunConfig) -> int:
         "kubo_residual": report.kubo_residual,
         "positivity_margin": report.positivity_margin,
         "verdict": report.verdicts,
-    }
-    _write(cfg, columns)
-    return 3 if Verdict.violation in report.verdicts else 0
+    }, {}
 
 
-def cmd_qubit(cfg: RunConfig) -> int:
+def cmd_qubit(cfg: RunConfig) -> Table:
     from .apps import qubit_rates
 
-    _write(cfg, {}, dataclasses.asdict(qubit_rates(_cavity_params(cfg))))
-    return 0
+    return {}, dataclasses.asdict(qubit_rates(_cavity_params(cfg)))
 
 
-def cmd_mech(cfg: RunConfig) -> int:
+def cmd_mech(cfg: RunConfig) -> Table:
     from .apps import asymmetry_grid, sideband_asymmetry
 
     params = _cavity_params(cfg)
@@ -450,8 +458,7 @@ def cmd_mech(cfg: RunConfig) -> int:
             columns[field.name] = value.values.real
         else:
             scalars[field.name] = value
-    _write(cfg, columns, scalars)
-    return 0
+    return columns, scalars
 
 
 def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -497,15 +504,14 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:].view(complex).reshape(len(data), dim, dim)
 
 
-def cmd_mimo_check(cfg: RunConfig) -> int:
+def cmd_mimo_check(cfg: RunConfig) -> Table:
     from .constraints import mimo_quantum_limit
 
     if cfg.mimo_input is None:
         raise ValueError("mimo-check requires --mimo-input <file>")
     omega, blocks = _read_mimo_blocks(Path(cfg.mimo_input))
     dets, verdicts = mimo_quantum_limit(blocks)
-    _write(cfg, {"omega": omega, "det": dets, "verdict": verdicts})
-    return 0
+    return {"omega": omega, "det": dets, "verdict": verdicts}, {}
 
 
 # Each command, its help and the RunConfig fields it reads; every command
@@ -554,7 +560,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(), np.errstate(
                 over="raise", invalid="raise", divide="raise"):
             warnings.showwarning = _show_warning
-            return fn(cfg)
+            # the table's worst verdict sets the exit code, once it is written
+            return 3 if _write(cfg, *fn(cfg)) == "violation" else 0
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3

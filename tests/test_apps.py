@@ -138,6 +138,20 @@ class TestModifiedSusceptibility:
             q.modified_mech_susceptibility(
                 osc, q.ComplexSpectrum(grid, forced))
 
+    @pytest.mark.parametrize("gap, blown", [(1e-11, False), (1e-13, True)])
+    def test_pole_test_is_1e_12_of_the_loop(self, gap, blown):
+        # |1 - chi0 chi_ff| = gap |chi0 chi_ff| at omega = 0.5
+        osc = q.MechOscillator(omega_m=1.0, gamma_m=0.01, n_occupation=0.0)
+        grid = q.FrequencyGrid(np.array([-0.5, 0.0, 0.5]))
+        forced = np.zeros(3, complex)
+        forced[2] = (1.0 - gap) / osc.bare_susceptibility(grid).values[2]
+        chi_ff = q.ComplexSpectrum(grid, forced)
+        if not blown:
+            q.modified_mech_susceptibility(osc, chi_ff)
+            return
+        with pytest.raises(q.OpticalSpringInstabilityError, match="0.5"):
+            q.modified_mech_susceptibility(osc, chi_ff)
+
 
 class TestThermalForce:
     def test_resonance_value(self):
@@ -208,6 +222,31 @@ class TestClosedLoopPoles:
         params = q.CavityParams(gamma=0.05, delta=1.0, gbar=1e-6, theta=0.0)
         osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-4, n_occupation=0.0)
         assert np.all(q.closed_loop_poles(params, osc).imag < 0.0)
+
+    @pytest.mark.parametrize("top, stable", [(-5e-10, True), (5e-10, False)])
+    def test_instability_starts_at_im_zero(self, top, stable):
+        # gbar bisected until the heating detuning's top pole has Im = top
+        osc = q.MechOscillator(omega_m=1.0, gamma_m=1e-6, n_occupation=1.0)
+
+        def blue(gbar):
+            return q.CavityParams(gamma=0.05, delta=1.0, gbar=gbar, theta=0.0)
+
+        lo, hi = 1e-6, 1e-2
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.max(q.closed_loop_poles(blue(mid), osc).imag) < top:
+                lo = mid
+            else:
+                hi = mid
+        params = blue(hi)
+        assert np.max(q.closed_loop_poles(params, osc).imag) == pytest.approx(
+            top, rel=1e-2)
+        grid = q.make_symmetric_grid(2.0, 64)
+        if stable:
+            q.sideband_asymmetry(params, osc, grid)
+            return
+        with pytest.raises(q.OpticalSpringInstabilityError, match="does not decay"):
+            q.sideband_asymmetry(params, osc, grid)
 
 
 class TestTotalOutputSpectrum:

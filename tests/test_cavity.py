@@ -173,6 +173,19 @@ class TestSymmetrizedChecksAtAnyScale:
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("name", ["s_zz", "s_ff"])
+    @pytest.mark.parametrize("dip, accepted", [(1e-13, True), (1e-11, False)])
+    def test_negativity_is_judged_against_the_peak(self, name, scale, dip,
+                                                   accepted):
+        values = np.linspace(0.25, 1.0, 9)
+        values[2] = -dip
+        if accepted:
+            _symmetrized_with(name, scale * values)
+        else:
+            with pytest.raises(ValueError, match=f"symmetrized {name} must be non-negative"):
+                _symmetrized_with(name, scale * values)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", ["s_zz", "s_ff"])
     @pytest.mark.parametrize("residue, accepted", [(1e-13, True), (1e-11, False)])
     def test_imaginary_residue_is_judged_against_the_peak(self, name, scale,
                                                           residue, accepted):

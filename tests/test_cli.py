@@ -1028,6 +1028,114 @@ def test_csv_blocks_are_sized_by_cells(tmp_path):
     assert peaks[0] <= 2.0 * peaks[1], peaks
 
 
+class TestCommandTables:
+    """Each command builds its table, (columns, scalars), and returns it
+    without touching a file; main writes it once, and the table's worst
+    verdict sets the exit code."""
+
+    ARGV = {
+        "spectra": ["spectra", "--n-half=8", "--input=thermal:0.5"],
+        "check": ["check", "--n-half=8", "--input=thermal:0.5"],
+        "qubit": ["qubit", "--delta=-0.8", "--theta=0.3"],
+        "mech": ["mech", "--gamma=0.05", "--gbar=7e-6", "--n-occ=2",
+                 "--window-points=401"],
+        "mimo-check": ["mimo-check", "--mimo-input=blocks.csv"],
+    }
+
+    def test_commands_return_their_table_and_write_nothing(
+            self, tmp_path, monkeypatch, generic_params):
+        grid = q.make_symmetric_grid(3.0, 8)
+        write_mimo_file(tmp_path / "blocks.csv", [q.solve_unsym_spectra(
+            q.build_one_sided_cavity(generic_params), grid)])
+        monkeypatch.chdir(tmp_path)
+        assert set(self.ARGV) == set(cli._COMMANDS)
+        for command, argv in self.ARGV.items():
+            cfg = parse_config(argv)
+            columns, scalars = cli._COMMANDS[command][0](cfg)
+            assert isinstance(columns, dict) and isinstance(scalars, dict)
+            assert columns or scalars, command
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv"]
+            # main writes that table, with the one writer
+            path = cli._output_path(cfg)
+            cli._write(cfg, columns, scalars)
+            written = path.read_bytes()
+            path.unlink()
+            assert main(argv) == 0
+            assert path.read_bytes() == written, command
+            path.unlink()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("verdicts, code", [
+        (["above_limit", "violation", "quantum_limited"], 3),
+        (["quantum_limited", "above_limit"], 0),
+        (None, 0),
+    ], ids=["violation", "above-limit", "no-verdict"])
+    def test_worst_verdict_sets_the_exit_code_after_the_write(
+            self, tmp_path, monkeypatch, fmt, verdicts, code):
+        columns = {"omega": np.linspace(-1.0, 1.0, len(verdicts or "abc"))}
+        if verdicts is not None:
+            columns["verdict"] = [q.Verdict(v) for v in verdicts]
+        monkeypatch.setitem(cli._COMMANDS, "check", (
+            lambda cfg: (columns, {}), *cli._COMMANDS["check"][1:]))
+        out = tmp_path / f"t.{fmt}"
+        argv = ["check", f"--format={fmt}", f"--out={out}"]
+        assert main(argv) == code
+        expected = reference_artifact(parse_config(argv), columns, {})
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_mimo_check_exits_0(self, tmp_path, generic_params):
+        # its ratio is finite and non-negative once the matrix checks pass,
+        # so no verdict is a violation: a vacuum pair's determinants are
+        # round-off, some of them negative
+        grid = q.make_symmetric_grid(3.0, 8)
+        sets = [q.solve_unsym_spectra(q.build_one_sided_cavity(
+            generic_params, input_state=parse_input_state(state)), grid)
+            for state in ("vacuum", "thermal:0.3")]
+        blocks = write_mimo_file(tmp_path / "blocks.csv", sets)
+        dets, _ = q.mimo_quantum_limit(blocks)
+        assert np.min(dets) < 0.0
+        out = tmp_path / "m.json"
+        assert main(["mimo-check", f"--mimo-input={tmp_path / 'blocks.csv'}",
+                     "--format=json", f"--out={out}"]) == 0
+        assert json.loads(out.read_text())["worst_verdict"] == "quantum_limited"
+
+
+class TestScaleCovariance:
+    """Every rate and frequency times s = 4^k is the same physics, and in
+    binary floating point an exact change of units: each float column gains
+    one power of two, and no verdict or exit code moves (ROADMAP item T)."""
+
+    BASE = {"gamma": 2.0, "delta": 0.3, "gbar": 1.0, "omega_max": 5.0}
+
+    def run(self, tmp_path, command, state, k):
+        out = tmp_path / f"{command}-{k}.json"
+        rates = [f"--{name.replace('_', '-')}={value * 4.0 ** k!r}"
+                 for name, value in self.BASE.items()]
+        code = main([command, f"--input={state}", "--n-half=64",
+                     "--format=json", f"--out={out}", *rates])
+        doc = json.loads(out.read_text())
+        del doc["config"]
+        return code, doc
+
+    @pytest.mark.parametrize("state", ["vacuum", "thermal:0.8", "squeezed:0.7,0.3"])
+    @pytest.mark.parametrize("command", ["check", "spectra"])
+    def test_rates_times_a_power_of_four(self, tmp_path, command, state):
+        code, base = self.run(tmp_path, command, state, 0)
+        for k in (-20, -3, 2, 15):
+            scaled_code, scaled = self.run(tmp_path, command, state, k)
+            assert scaled_code == code and scaled.keys() == base.keys(), k
+            for name, cells in base.items():
+                if name in ("verdict", "worst_verdict"):
+                    assert scaled[name] == cells, (name, k)
+                    continue
+                mant, expo = np.frexp(np.array(cells))
+                scaled_mant, scaled_expo = np.frexp(np.array(scaled[name]))
+                # equal mantissas keep every zero a zero
+                assert np.array_equal(scaled_mant, mant), (name, k)
+                shifts = np.unique((scaled_expo - expo)[mant != 0.0])
+                assert shifts.size <= 1, (name, k, shifts)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "q.json"

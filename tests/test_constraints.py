@@ -507,6 +507,14 @@ class TestMimoBoundaries:
                            match=f"index {self.LATE} is not positive semidefinite"):
             q.mimo_quantum_limit(mat)
 
+    def test_small_last_eigenvalue_is_above_the_limit(self):
+        # det 1e-8 against a mean eigenvalue of about 3/4: 3.2e-8 of its
+        # fourth power, 32 times the tolerance. The determinant over the
+        # diagonal's product is 1, so the Hadamard rule of ROADMAP item M
+        # reads above_limit too.
+        _, verdicts = q.mimo_quantum_limit(np.diag([1.0, 1.0, 1.0, 1e-8])[None])
+        assert list(verdicts) == [q.Verdict.above_limit]
+
     def test_non_finite_late_row_beats_non_hermitian_early_row(self):
         mat = self.stack()
         mat[1, 0, 1] = 0.5
@@ -522,6 +530,63 @@ class TestMimoBoundaries:
         with pytest.raises(q.InvalidMatrixError,
                            match=f"index {self.LATE} is not Hermitian"):
             q.mimo_quantum_limit(mat)
+
+
+class TestAuditBoundaries:
+    """Each tolerance of the audit between an input just inside it, which
+    passes, and one just outside, which does not. The tolerances are
+    written out, so that a changed constant fails."""
+
+    @pytest.fixture
+    def vacuum(self, generic_params, grid129):
+        return _engine_run(generic_params, grid129)
+
+    @pytest.mark.parametrize("excess, verdict", [
+        (0.5e-9, q.Verdict.quantum_limited), (1.5e-9, q.Verdict.above_limit)])
+    def test_threshold_is_1e_9_of_the_scale(self, vacuum, excess, verdict):
+        # at the limit S_zz S_ff is the largest of the gap's terms, so S_ff
+        # times 1 + e moves every gap by e of its scale
+        uns, susc = vacuum
+        sym = q.symmetrize(uns)
+        assert np.array_equal(gap_scale(uns, susc),
+                              sym.s_zz.values.real * sym.s_ff.values.real)
+        s_ff = q.ComplexSpectrum(uns.grid, uns.s_ff.values * (1.0 + excess))
+        report = q.constraint_report(dataclasses.replace(uns, s_ff=s_ff), susc)
+        assert set(report.verdicts) == {verdict}
+
+    @pytest.mark.parametrize("ratio, valid", [(1e-10, True), (1e-8, False)])
+    def test_chi_zz_floor_is_1e_9_of_the_signal(self, vacuum, ratio, valid):
+        uns, susc = vacuum
+        chi_zz = np.full(len(uns.grid), ratio * np.max(np.abs(susc.chi_zf.values)))
+        susc = dataclasses.replace(susc, chi_zz=q.ComplexSpectrum(uns.grid, chi_zz))
+        if valid:
+            q.constraint_report(uns, susc)
+            return
+        with pytest.raises(q.NotAValidDetectorError):
+            q.constraint_report(uns, susc)
+
+    @pytest.mark.parametrize("ratio, signal", [(1e-7, True), (1e-9, False)])
+    def test_no_signal_below_sqrt_eps_of_the_scale(self, vacuum, ratio, signal):
+        # (hbar/2)|chi_zf| at one frequency set to ratio * sqrt(scale): 1e-9
+        # lies between sqrt(1e-20) and sqrt(eps) = 1.5e-8, 1e-7 above both
+        uns, susc = vacuum
+        i, hbar = 40, susc.units.hbar
+        chi_zf = susc.chi_zf.values.copy()
+        chi_zf[i] = 0.0
+        scale = gap_scale(uns, dataclasses.replace(
+            susc, chi_zf=q.ComplexSpectrum(uns.grid, chi_zf)))[i]
+        chi_zf[i] = 2.0 / hbar * ratio * np.sqrt(scale)
+        doctored = dataclasses.replace(susc, chi_zf=q.ComplexSpectrum(uns.grid, chi_zf))
+        # the scale the audit reads holds the new chi_zf's terms too
+        read = 0.5 * hbar * abs(chi_zf[i]) / np.sqrt(gap_scale(uns, doctored)[i])
+        assert read == pytest.approx(ratio, rel=1e-6)
+        if signal:
+            q.constraint_report(uns, doctored)
+            return
+        omega = uns.grid.points[i]
+        with pytest.raises(q.SingularNormalizationError,
+                           match=f"chi_zf vanishes at omega = {omega:.6g};"):
+            q.constraint_report(uns, doctored)
 
 
 class TestKuboInReport:

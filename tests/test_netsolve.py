@@ -404,6 +404,28 @@ class TestGramianPaths:
         net = dataclasses.replace(net, drift=net.drift - 1e-12)
         assert np.array_equal(net._gramian, np.eye(1))
 
+    @pytest.mark.parametrize("defect, identity", [(5e-14, True), (1e-8, False)])
+    def test_identity_short_circuit_is_1e_13_of_the_scale(self, defect, identity):
+        # a passive 4-mode network with its drift moved off A + A^dag = -B B^dag
+        # by defect times the scale, max(max|A|, max|B B^dag|)
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        coupling = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        net = q.passive_network(
+            hamiltonian=h + h.conj().T, coupling=coupling,
+            force=q.Observable(mode_quad=rng.normal(size=8), output_quad=np.zeros(4)),
+            readout=q.Observable(mode_quad=np.zeros(8), output_quad=rng.normal(size=4)))
+        bb = net.input_coupling @ net.input_coupling.conj().T
+        scale = max(np.max(np.abs(net.drift)), np.max(np.abs(bb)))
+        net = dataclasses.replace(net, drift=net.drift - 0.5 * defect * scale * np.eye(4))
+        resid = net.drift + net.drift.conj().T + bb
+        assert np.max(np.abs(resid)) == pytest.approx(defect * scale, rel=1e-2)
+        if identity:
+            assert np.array_equal(net._gramian, np.eye(4))
+            return
+        assert not np.array_equal(net._gramian, np.eye(4))
+        assert _relative_error(net._gramian, _scipy_gramian(net)) <= 1e-12
+
     def test_rate_scale_leaves_every_array_but_a_power_of_two(self):
         # rates times s = 4^k, couplings times 2^k and the force times s: the
         # Gramian is unchanged and each array gains 2^(k * power). A unit

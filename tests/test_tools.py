@@ -5,6 +5,7 @@ byte record names each column that moved."""
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -201,7 +202,8 @@ class A:
 
 
 @pytest.fixture
-def loc():
+def loc(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -221,3 +223,21 @@ def test_loc_prints_each_file_and_the_total(loc, tmp_path, capsys):
     assert loc.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "     1 b.py", "     8 pkg/a.py", "     9 total"]
+
+
+def test_loc_against_head_reads_the_uncommitted_change(loc, capsys):
+    # both trees' counts per file, then the change in the total: +0 for a
+    # checkout whose src matches HEAD
+    assert loc.main(["--parent", "HEAD"]) == 0
+    *rows, total, change = capsys.readouterr().out.splitlines()
+    assert loc.main([]) == 0
+    assert [row.split()[1:] for row in rows] == [
+        row.split() for row in capsys.readouterr().out.splitlines()[:-1]]
+    parent, checkout, name = total.split()
+    assert name == "total"
+    assert change == f"{int(checkout) - int(parent):+6d} change in total"
+    edited = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                            cwd=ROOT, capture_output=True, text=True, check=True)
+    if not edited.stdout.strip():
+        assert change == "    +0 change in total"
+        assert all(row.split()[0] == row.split()[1] for row in rows)
