@@ -30,7 +30,7 @@ _EXPORTS = {
              "optimal_angle", "qubit_rates", "sideband_asymmetry",
              "thermal_force_spectrum"),
     "cavity": ("cavity_spectra", "cavity_susceptibilities",
-               "cavity_unsym_spectra", "normalize", "response_denominator"),
+               "cavity_unsym_spectra", "normalize"),
     "cli": ("RunConfig", "main", "parse_config", "parse_input_state"),
     "constraints": ("ConstraintReport", "Verdict", "assemble_mimo_matrix",
                     "constraint_report", "mimo_quantum_limit"),

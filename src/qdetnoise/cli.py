@@ -13,14 +13,16 @@ Five commands map onto the library layers:
 its flag spelling and help, and both :meth:`RunConfig.to_argv` and
 :func:`build_parser` are derived from the fields, so a config always
 survives the argv round trip.  One parser takes the command and the full
-flag set, in any order.  ``_COMMANDS`` names the fields each command reads
-(``--format`` and ``--out`` belong to all); :func:`main` refuses a run that
-sets any other field away from its default, so the ``# config:`` echo never
-records a setting its numbers ignore.  Each command imports the library
-layers it calls when it runs, so a process loads only its own command's
-modules.  Each command builds its table, ``(columns, scalars)``, and
-returns it without touching a file; :func:`main` writes it with the one
-writer, ``_write``, which produces both formats.  Output files are
+flag set, in any order.  ``_COMMANDS`` holds each command's help and the
+fields it reads (``--format`` and ``--out`` belong to all); :func:`main`
+refuses a run that sets any other field away from its default, so the
+``# config:`` echo never records a setting its numbers ignore.  Each
+command imports the library layers it calls when it runs, so a process
+loads only its own command's modules.  Each command, ``cmd_<name>`` with
+the name's dashes as underscores, builds its table, ``(columns,
+scalars)``, and returns it without touching a file; :func:`main` looks the
+function up in the module when it runs it, and writes the table with the
+one writer, ``_write``, which produces both formats.  Output files are
 byte-deterministic: no timestamps, fixed float formatting, a single
 ``# config:`` echo line as the only metadata.
 
@@ -39,12 +41,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=list(_COMMANDS), help="; ".join(
         f"{name}: {help} ({' '.join(_flag(f) for f in _OPTIONS if f.name in reads)})"
-        for name, (_, help, reads) in _COMMANDS.items()))
+        for name, (help, reads) in _COMMANDS.items()))
     for field in _OPTIONS:
         if isinstance(field.default, bool):
             kind = {"action": "store_true"}
@@ -212,21 +215,21 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     Float cells are ``%.16e`` in CSV and shortest-repr numbers in JSON.  CSV
     repeats each scalar down a column after the others (a table of scalars
     only is one row); JSON keeps scalars as plain values.  A ``verdict``
-    column holds Verdict members, written by value; JSON adds the most
-    severe one as ``worst_verdict``.  The bytes are those of ``"%.16e" %``
-    per CSV cell and of ``json.dumps(doc, sort_keys=True, indent=2)``.  The
-    verdict column becomes one zero-padded label array (``dtype="S"``),
-    indexed by each member's rank, whose rows both formats place as they
-    place a formatted float block; the same rank pass gives the most severe
-    verdict, which ``worst_verdict`` and :func:`main`'s exit code read.
+    column holds Verdict ranks as an int8 array, written as the members'
+    values; JSON adds the value of the largest rank as ``worst_verdict``,
+    which :func:`main`'s exit code reads too.  The bytes are those of
+    ``"%.16e" %`` per CSV cell and of ``json.dumps(doc, sort_keys=True,
+    indent=2)``.
 
     A non-finite cell in a float column is rejected with ValueError, as
     the finite configuration it came from has overflowed; a scalar may be
-    infinite (the ratio of a ground-state oscillator).  Every check and
-    conversion runs before the file is opened, so an error leaves no file
-    behind.  Both formats then stream block by block into the open file,
-    from encoders that cannot fail on the finite floats, strings and config
-    values they are given.  Float cells are formatted a block at a time by
+    infinite (the ratio of a ground-state oscillator).  A verdict column
+    of another dtype raises TypeError, and one holding a rank that is not
+    a Verdict's raises ValueError.  Every check and conversion runs before
+    the file is opened, so an error leaves no file behind.  Both formats
+    then stream block by block into the open file, from encoders that
+    cannot fail on the finite floats, ranks and config values they are
+    given.  Float cells are formatted a block at a time by
     :mod:`._format`, which hands the rare cells it cannot decide (within
     1e-6 of a rounding tie or an edge, or subnormal) to Python: CSV a block
     of rows of about ``_CHUNK_CELLS`` cells across every float column by
@@ -234,57 +237,50 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     suffix shared by every row; JSON one top-level key at a time, a float
     column ``_CHUNK_ROWS`` cells at a time by
     :func:`._format.format_repr`, whose temporaries per cell are about
-    2.5 times ``format_e16``'s.  So the writer's working memory is bounded
-    by the block, whatever the table's length and width; the caller's
-    columns are read in place, and only the verdict labels are a
-    whole-column copy.
+    2.5 times ``format_e16``'s.  A block of ranks becomes the zero-padded
+    label bytes of its members, which both formats place as they place a
+    formatted float block.  So the writer's working memory is bounded by
+    the block, whatever the table's length and width; the caller's
+    columns are read in place.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
-    cells, worst = {}, None
-    for name, col in columns.items():
-        if name == "verdict":
-            cells[name], worst = _verdict_labels(col)
-        else:
-            cells[name] = np.asarray(col, dtype=float)
+    cells = {name: np.asarray(col, dtype=None if name == "verdict" else float)
+             for name, col in columns.items()}
+    label = worst = None
+    if "verdict" in cells:
+        # loaded already, by the command whose audit gave the ranks
+        from .constraints import Verdict
+        rank = cells["verdict"]
+        if rank.dtype != np.int8:
+            raise TypeError(f"a verdict column holds int8 ranks, not {rank.dtype}")
+        labels = np.array([v.value for v in Verdict], dtype="S")
+        top = int(rank.max(initial=0))
+        if rank.min(initial=0) < 0 or top >= len(labels):
+            raise ValueError(f"a verdict rank lies outside 0..{len(labels) - 1}")
+        label = functools.partial(_labels, labels)
+        worst = labels[top].decode("ascii")
     for name, col in cells.items():
         if col.dtype == float and not np.isfinite(col).all():
             raise ValueError(f"column {name} overflows float64 at row "
                              f"{int(np.argmin(np.isfinite(col)))}: the "
                              "configuration is out of range")
     if cfg.fmt == "csv":
-        chunks = _csv_chunks(cfg, cells, scalars)
+        chunks = _csv_chunks(cfg, cells, scalars, label)
     else:
         doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
         if worst is not None:
             doc["worst_verdict"] = worst
-        chunks = _json_chunks(doc)
+        chunks = _json_chunks(doc, label)
     with _output_path(cfg).open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
     return worst
 
 
-def _verdict_labels(col: Sequence) -> tuple[np.ndarray, str]:
-    """The value of each Verdict in ``col`` as one zero-padded label array
-    (``dtype="S"``), indexed by the rank that comparing the whole column
-    with each member in turn finds, and the value of the highest rank
-    found (``quantum_limited`` for an empty column). A member's rank is
-    its place in the definition order of Verdict, the documented severity
-    order."""
-    # loaded already, by the command whose audit gave the verdicts
-    from .constraints import Verdict
-    members = np.array(list(Verdict), dtype=object)
-    found = np.asarray(col, dtype=object) == members[:, None]
-    if not found.any(axis=0).all():
-        raise TypeError("a verdict column holds Verdict members only")
-    rank = np.argmax(found, axis=0)
-    labels = np.array([v.value for v in Verdict], dtype="S")
-    return labels[rank], members[rank.max(initial=0)].value
-
-
-def _labels(block: np.ndarray) -> np.ndarray:
-    """The rows of a ``dtype="S"`` array as a uint8 array, zero-padded."""
-    return block.view(np.uint8).reshape(len(block), block.itemsize)
+def _labels(labels: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The ``dtype="S"`` labels of a block of ranks as a uint8 array, one
+    zero-padded row per rank."""
+    return labels[rank].view(np.uint8).reshape(len(rank), labels.itemsize)
 
 
 def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
@@ -300,15 +296,16 @@ def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
 
 
 def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
-                scalars: dict[str, float]) -> Iterator[bytes | np.ndarray]:
+                scalars: dict[str, float], label: Callable | None
+                ) -> Iterator[bytes | np.ndarray]:
     """The CSV header, then the rows, formatted a block of rows at a time.
 
     A block holds about ``_CHUNK_CELLS`` float cells over all float columns
     (at least one row), so a wide table is formatted in shorter blocks and
     its working memory does not grow with its width. A block of rows is one
     :func:`_join` of each column's zero-padded field (a float column's from
-    one :func:`._format.format_e16` call over the block, a label column's
-    bytes) and a comma, then the scalars and newline.
+    one :func:`._format.format_e16` call over the block, a rank column's
+    from ``label`` of its block) and a comma, then the scalars and newline.
     """
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
     yield head.encode("ascii")
@@ -324,25 +321,26 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
         text = iter(format_e16(np.array([col[rows] for col in floats])))
         parts = []
         for col in cells.values():
-            parts += [next(text) if col.dtype == float else _labels(col[rows]), b","]
+            parts += [next(text) if col.dtype == float else label(col[rows]), b","]
         yield _join([*parts[:-1], suffix.encode("ascii")], n)
 
 
-def _json_chunks(doc: dict) -> Iterator[bytes | np.ndarray]:
+def _json_chunks(doc: dict, label: Callable | None) -> Iterator[bytes | np.ndarray]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, as bytes
     yielded one top-level key at a time.
 
     A non-empty array is written ``_CHUNK_ROWS`` rows at a time, by one
     :func:`_join`: a float column as ``"    <repr>,\\n"`` rows, from
     :func:`._format.format_repr`'s ``float.__repr__`` bytes, as json writes
-    floats; a label column as ``"    \\"<label>\\",\\n"`` rows, as no label
-    needs escaping.  Every other value is ``json.dumps`` re-indented.
+    floats; a rank column as ``"    \\"<label>\\",\\n"`` rows, from
+    ``label`` of each block, as no label needs escaping.  Every other value
+    is ``json.dumps`` re-indented.
     """
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
         head = f"{',' if i else '{'}\n  {json.dumps(key)}: "
         if isinstance(value, np.ndarray) and value.size:
-            encode, quote = (format_repr, b"") if value.dtype == float else (_labels, b'"')
+            encode, quote = (format_repr, b"") if value.dtype == float else (label, b'"')
             yield f"{head}[\n".encode("ascii")
             for first in range(0, value.size, _CHUNK_ROWS):
                 text = encode(value[first:first + _CHUNK_ROWS])
@@ -433,7 +431,7 @@ def cmd_check(cfg: RunConfig) -> Table:
         "correlation_residual": report.correlation_residual,
         "kubo_residual": report.kubo_residual,
         "positivity_margin": report.positivity_margin,
-        "verdict": report.verdicts,
+        "verdict": report.rank,
     }, {}
 
 
@@ -510,27 +508,24 @@ def cmd_mimo_check(cfg: RunConfig) -> Table:
     if cfg.mimo_input is None:
         raise ValueError("mimo-check requires --mimo-input <file>")
     omega, blocks = _read_mimo_blocks(Path(cfg.mimo_input))
-    dets, verdicts = mimo_quantum_limit(blocks)
-    return {"omega": omega, "det": dets, "verdict": verdicts}, {}
+    dets, rank = mimo_quantum_limit(blocks)
+    return {"omega": omega, "det": dets, "verdict": rank}, {}
 
 
-# Each command, its help and the RunConfig fields it reads; every command
-# also reads fmt and out.  mech reads no delta: sideband_asymmetry sets the
+# Each command's help and the RunConfig fields it reads; every command also
+# reads fmt and out.  mech reads no delta: sideband_asymmetry sets the
 # detuning to -+omega_m itself.
 _CAVITY = ("gamma", "delta", "gbar", "theta")
 _AUDIT = (*_CAVITY, "omega_max", "n_half", "input_state")
 _COMMANDS = {
-    "spectra": (cmd_spectra, "tabulate susceptibilities and spectra on a grid",
+    "spectra": ("tabulate susceptibilities and spectra on a grid",
                 (*_AUDIT, "single_sided")),
-    "check": (cmd_check, "audit quantum constraints frequency by frequency",
-              _AUDIT),
-    "qubit": (cmd_qubit, "dispersive readout rates and optimal homodyne angle",
-              _CAVITY),
-    "mech": (cmd_mech, "motional sideband spectra and asymmetry ratio",
+    "check": ("audit quantum constraints frequency by frequency", _AUDIT),
+    "qubit": ("dispersive readout rates and optimal homodyne angle", _CAVITY),
+    "mech": ("motional sideband spectra and asymmetry ratio",
              ("gamma", "gbar", "theta", "omega_m", "gamma_m", "mass", "n_occ",
               "window_halfwidth", "window_points")),
-    "mimo-check": (cmd_mimo_check,
-                   "determinant test for a file of 2Nx2N spectral matrices",
+    "mimo-check": ("determinant test for a file of 2Nx2N spectral matrices",
                    ("mimo_input",)),
 }
 
@@ -551,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        fn, _, reads = _COMMANDS[cfg.command]
+        _, reads = _COMMANDS[cfg.command]
         for field in _OPTIONS:
             if (field.name not in (*reads, "fmt", "out")
                     and getattr(cfg, field.name) != field.default):
@@ -560,8 +555,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(), np.errstate(
                 over="raise", invalid="raise", divide="raise"):
             warnings.showwarning = _show_warning
-            # the table's worst verdict sets the exit code, once it is written
-            return 3 if _write(cfg, *fn(cfg)) == "violation" else 0
+            # the command, like _write, is the module's attribute when it
+            # runs, so a wrapper set on the module is the one called; the
+            # table's worst verdict sets the exit code, once it is written
+            table = globals()["cmd_" + cfg.command.replace("-", "_")](cfg)
+            return 3 if _write(cfg, *table) == "violation" else 0
     except InvalidMatrixError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return 3

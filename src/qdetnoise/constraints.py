@@ -9,6 +9,10 @@ residual is r2 = -I / (hbar |chi_zf|^2), so gap = |chi_zf|^2 (r1 - hbar |r2|).
 Every check is scale-aware: a residual is compared against _TOL * scale with
 scale the largest constituent term at that frequency, since the raw magnitudes
 vary over many orders across parameter sweeps.
+
+A verdict is encoded as its rank, the member's index in Verdict's definition
+order, in an int8 array: the checks return ranks, the worst of several is
+their maximum, and members are read from the ranks only where asked for.
 """
 
 from __future__ import annotations
@@ -33,18 +37,14 @@ _HERMITICITY_TOL = 1e-12
 class Verdict(enum.Enum):
     """Per-frequency classification, listed from least to most severe.
 
-    The definition order is the severity order: ``worst``, the ranks of
-    ``classify_verdicts`` and the CLI's verdict labels all read it.
+    The definition order is the severity order, and a member's index in it
+    is its rank: the checks return int8 ranks, and the CLI labels each rank
+    with its member's value.
     """
 
     quantum_limited = "quantum_limited"
     above_limit = "above_limit"
     violation = "violation"
-
-    @classmethod
-    def worst(cls, verdicts) -> "Verdict":
-        """The most severe verdict in ``verdicts``."""
-        return next(v for v in reversed(cls) if v in verdicts)
 
 
 _BY_RANK = np.array(list(Verdict), dtype=object)
@@ -52,17 +52,17 @@ _BY_RANK = np.array(list(Verdict), dtype=object)
 
 def classify_verdicts(gap: np.ndarray, threshold: np.ndarray | float
                       ) -> np.ndarray:
-    """Classify each gap against its threshold, as an object array of
-    Verdict members, one per gap.
+    """Classify each gap against its threshold, as an int8 array of
+    Verdict ranks, one per gap.
 
-    quantum_limited where |gap| <= threshold, above_limit where
-    gap > threshold, and violation where gap < -threshold or where the gap or
-    the threshold is not finite: a value that cannot be compared never passes.
+    quantum_limited (0) where |gap| <= threshold, above_limit (1) where
+    gap > threshold, and violation (2) where gap < -threshold or where the
+    gap or the threshold is not finite: a value that cannot be compared
+    never passes.
     """
-    finite = np.isfinite(gap) & np.isfinite(threshold)
-    rank = np.where(~finite | (gap < -threshold), 2,
-                    np.where(gap > threshold, 1, 0))
-    return _BY_RANK[rank]
+    rank = (gap > threshold).astype(np.int8)
+    rank[~(np.isfinite(gap) & np.isfinite(threshold)) | (gap < -threshold)] = 2
+    return rank
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,11 @@ class ConstraintReport:
                           S_ff(+omega) and S_ff(-omega); negative values are
                           unphysical, and it nearly vanishes for a
                           resolved-sideband cavity at the probed sideband
-    verdicts:             the Verdict of each frequency, an object array
-                          like the other fields' float arrays (any sequence
-                          of members also serves ``worst_verdict``)
+    rank:                 the verdict of each frequency as an int8 array
+                          of Verdict ranks (``classify_verdicts``'); the
+                          ``verdicts`` property reads them as an object
+                          array of members, ``worst_verdict`` as the
+                          member of the largest rank
     """
 
     grid: FrequencyGrid
@@ -95,11 +97,15 @@ class ConstraintReport:
     correlation_residual: np.ndarray
     kubo_residual: np.ndarray
     positivity_margin: np.ndarray
-    verdicts: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def verdicts(self) -> np.ndarray:
+        return _BY_RANK[self.rank]
 
     @property
     def worst_verdict(self) -> Verdict:
-        return Verdict.worst(self.verdicts)
+        return _BY_RANK[self.rank.max(initial=0)]
 
 
 def _require_valid_detector(susc: SusceptibilitySet, amplitude: np.ndarray) -> None:
@@ -193,7 +199,8 @@ def assemble_mimo_matrix(spectra_sets: "list[SpectraSet] | tuple[SpectraSet, ...
 def mimo_quantum_limit(spectral_matrix: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Determinant and verdict per frequency of an (n_omega, 2N, 2N) stack of
-    spectral matrices, as two arrays; the verdicts are classify_verdicts'.
+    spectral matrices, as a float array and an int8 array of Verdict ranks
+    (classify_verdicts').
 
     Zero (within tolerance) certifies the multi-observable quantum limit;
     thermal admixtures push it strictly positive. Each determinant is judged
@@ -315,5 +322,5 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
             units.hbar, signal, out=signal), out=im_term),
         kubo_residual=_kubo_residual(spectra_unsym.s_ff, susc.chi_ff, units),
         positivity_margin=s_ff_sym - units.hbar * np.abs(susc.chi_ff.values.imag),
-        verdicts=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300, out=scale)),
+        rank=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300, out=scale)),
     )

@@ -119,7 +119,7 @@ def _non_default(field):
 
 # every (command, RunConfig field it does not read), from the command table
 UNREAD = [(command, field, _non_default(field))
-          for command, (_, _, reads) in cli._COMMANDS.items()
+          for command, (_, reads) in cli._COMMANDS.items()
           for field in dataclasses.fields(RunConfig)[1:]
           if field.name not in (*reads, "fmt", "out")]
 
@@ -921,10 +921,19 @@ def adversarial_floats():
     return np.array(cells + [-c for c in cells])
 
 
+# each verdict's label, indexed by its rank: its place in Verdict's order
+LABELS = [v.value for v in q.Verdict]
+
+
+def ranks(labels):
+    """The int8 rank column of a list of verdict labels."""
+    return np.array([LABELS.index(label) for label in labels], dtype=np.int8)
+
+
 def reference_artifact(cfg, columns, scalars):
     """The artifact under the output rules, from ``%`` and ``json.dumps``."""
     config = dataclasses.asdict(cfg)
-    cells = {name: ([v.value for v in col] if name == "verdict" else col)
+    cells = {name: ([LABELS[r] for r in col] if name == "verdict" else col)
              for name, col in columns.items()}
     if cfg.fmt == "csv":
         n_rows = len(next(iter(columns.values()))) if columns else 1
@@ -932,7 +941,7 @@ def reference_artifact(cfg, columns, scalars):
                                                  for name, value in scalars.items()}})
     payload = {**cells, **scalars}
     if "verdict" in columns:
-        payload["worst_verdict"] = q.Verdict.worst(columns["verdict"]).value
+        payload["worst_verdict"] = LABELS[max(columns["verdict"], default=0)]
     return contract_json(config, payload)
 
 
@@ -956,7 +965,7 @@ class TestWriter:
     def test_adversarial_cells(self, tmp_path, fmt):
         cells = adversarial_floats()
         finite = np.isfinite(cells)
-        verdicts = [list(q.Verdict)[i % 3] for i in range(finite.sum())]
+        verdicts = (np.arange(finite.sum()) % 3).astype(np.int8)
         self.written(tmp_path / f"a.{fmt}", fmt,
                      {"x": cells[finite], "reversed": cells[finite][::-1],
                       "verdict": verdicts},
@@ -972,7 +981,7 @@ class TestWriter:
         # omega and value share a CSV block of _CHUNK_CELLS float cells
         n_rows = (cli._CHUNK_CELLS // 2 if fmt == "csv" else cli._CHUNK_ROWS) + extra
         values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
-        verdicts = [list(q.Verdict)[i] for i in rng.integers(0, 3, n_rows)]
+        verdicts = rng.integers(0, 3, n_rows).astype(np.int8)
         self.written(tmp_path / f"t.{fmt}", fmt,
                      {"omega": np.linspace(-5.0, 5.0, n_rows), "value": values,
                       "verdict": verdicts},
@@ -989,6 +998,23 @@ class TestWriter:
         cells = np.array(cells)
         self.written(tmp_path_factory.mktemp("w") / f"h.{fmt}", fmt,
                      {"x": cells, "y": -cells[::-1]}, {"first": float(cells[0])})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("verdict, error, message", [
+    (list(q.Verdict), TypeError, "int8 ranks, not object"),
+    (np.array([0, 1, 2]), TypeError, "int8 ranks, not int64"),
+    (np.array([0.0, 1.0, 2.0]), TypeError, "int8 ranks, not float64"),
+    (np.array([0, 3, 1], dtype=np.int8), ValueError, r"outside 0\.\.2"),
+    (np.array([0, -1, 1], dtype=np.int8), ValueError, r"outside 0\.\.2"),
+], ids=["members", "int64", "float", "above", "negative"])
+def test_verdict_column_is_checked_before_the_file_opens(
+        tmp_path, fmt, verdict, error, message):
+    path = tmp_path / f"v.{fmt}"
+    cfg = RunConfig("check", fmt=fmt, out=str(path))
+    with pytest.raises(error, match=message):
+        cli._write(cfg, {"omega": np.zeros(3), "verdict": verdict})
+    assert not path.exists()
 
 
 def test_json_is_streamed_a_key_at_a_time(tmp_path):
@@ -1051,7 +1077,7 @@ class TestCommandTables:
         assert set(self.ARGV) == set(cli._COMMANDS)
         for command, argv in self.ARGV.items():
             cfg = parse_config(argv)
-            columns, scalars = cli._COMMANDS[command][0](cfg)
+            columns, scalars = getattr(cli, f"cmd_{command.replace('-', '_')}")(cfg)
             assert isinstance(columns, dict) and isinstance(scalars, dict)
             assert columns or scalars, command
             assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.csv"]
@@ -1074,14 +1100,30 @@ class TestCommandTables:
             self, tmp_path, monkeypatch, fmt, verdicts, code):
         columns = {"omega": np.linspace(-1.0, 1.0, len(verdicts or "abc"))}
         if verdicts is not None:
-            columns["verdict"] = [q.Verdict(v) for v in verdicts]
-        monkeypatch.setitem(cli._COMMANDS, "check", (
-            lambda cfg: (columns, {}), *cli._COMMANDS["check"][1:]))
+            columns["verdict"] = ranks(verdicts)
+        monkeypatch.setattr(cli, "cmd_check", lambda cfg: (columns, {}))
         out = tmp_path / f"t.{fmt}"
         argv = ["check", f"--format={fmt}", f"--out={out}"]
         assert main(argv) == code
         expected = reference_artifact(parse_config(argv), columns, {})
         assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_main_calls_the_command_the_module_holds(
+            self, tmp_path, monkeypatch, command):
+        # a wrapper set on the module, as a tracer sets one, is what runs
+        calls = []
+
+        def stub(cfg):
+            calls.append(cfg)
+            return {"omega": np.zeros(2)}, {}
+
+        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", stub)
+        argv = [command, f"--out={tmp_path / 't.csv'}"]
+        assert main(argv) == 0
+        assert calls == [parse_config(argv)]
+        assert (tmp_path / "t.csv").read_bytes() == reference_artifact(
+            calls[0], {"omega": np.zeros(2)}, {}).encode("utf-8")
 
     def test_mimo_check_exits_0(self, tmp_path, generic_params):
         # its ratio is finite and non-negative once the matrix checks pass,

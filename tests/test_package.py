@@ -119,8 +119,7 @@ def test_public_names_are_pinned():
         "make_symmetric_grid", "mimo_quantum_limit",
         "modified_mech_susceptibility", "normalize", "optimal_angle",
         "parse_config", "parse_input_state", "passive_network",
-        "qubit_rates", "response_denominator",
-        "sideband_asymmetry", "solve_susceptibilities",
+        "qubit_rates", "sideband_asymmetry", "solve_susceptibilities",
         "solve_unsym_spectra", "symmetrize", "thermal_force_spectrum",
     ]
     for name in q.__all__:
@@ -252,4 +251,4 @@ def test_readme_flag_table_matches_the_cli():
     options = {field.name: cli._flag(field) for field in cli._OPTIONS}
     assert {command: flags.split() for command, flags in rows} == {
         command: [options[name] for name in options if name in reads]
-        for command, (_, _, reads) in cli._COMMANDS.items()}
+        for command, (_, reads) in cli._COMMANDS.items()}
