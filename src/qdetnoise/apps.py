@@ -188,7 +188,7 @@ def closed_loop_poles(params: CavityParams, osc: MechOscillator) -> np.ndarray:
         [1.0, 2j * params.gamma, -(params.gamma**2 + params.delta**2)],
         dtype=complex,
     )
-    poly = np.polymul(mech.astype(complex), cav)
+    poly = np.polymul(mech, cav)
     poly[-1] -= 2.0 * params.units.hbar * params.gbar**2 * params.delta
     return np.roots(poly)
 
@@ -203,13 +203,15 @@ def _require_stable(params: CavityParams, osc: MechOscillator) -> None:
         )
 
 
-def _total_and_floor(
+def _sideband(
     params: CavityParams, osc: MechOscillator, grid: FrequencyGrid
-) -> tuple[ComplexSpectrum, np.ndarray]:
-    """Measurement-referred output spectrum and the imprecision floor in it.
+) -> tuple[ComplexSpectrum, float]:
+    """One drive's measurement-referred output spectrum and motional peak area.
 
     total = floor + 2 Re[chi_q^* cross] + |chi_q|^2 (back-action + thermal
-    force noise), chi_q the dressed response; the caller checks stability.
+    force noise), chi_q the dressed response and floor the imprecision
+    noise; the area is the trapezoid rule over the grid of total - floor.
+    The caller checks stability and the grid's coverage.
     """
     susc = cavity_susceptibilities(params, grid)
     norm = normalize(cavity_spectra(params, grid), susc)
@@ -221,7 +223,10 @@ def _total_and_floor(
         + 2.0 * (np.conj(chi_q.values) * norm.cross.values).real
         + np.abs(chi_q.values) ** 2 * force
     )
-    return _adopt(grid, total.astype(complex)), floor
+    peak = total - floor
+    # trapezoid rule written out: np.trapezoid needs numpy 2
+    area = float(np.sum(np.diff(grid.points) * (peak[1:] + peak[:-1]) / 2.0))
+    return _adopt(grid, total.astype(complex)), area
 
 
 def sideband_asymmetry(
@@ -229,11 +234,12 @@ def sideband_asymmetry(
 ) -> AsymmetryResult:
     """Motional sideband weights for drive detunings at +/- omega_m.
 
-    Evaluates the total output spectrum twice, with the template's detuning
-    replaced by -omega_m (red) and +omega_m (blue), subtracts the pointwise
-    imprecision floor, and integrates each motional peak over the grid with
-    the trapezoid rule.  In thermal equilibrium the weights scale as n and
-    n + 1, so their ratio reads out the occupation directly.
+    Replaces the template's detuning by -omega_m (red) and +omega_m (blue)
+    and runs each drive through one routine, which builds its total output
+    spectrum, subtracts the pointwise imprecision floor, and integrates the
+    motional peak over the grid with the trapezoid rule.  In thermal
+    equilibrium the weights scale as n and n + 1, so their ratio reads out
+    the occupation directly.
 
     The grid must cover at least ten effective linewidths on both sides of
     omega_m, else :class:`GridMismatchError` is raised.  A warning is
@@ -249,18 +255,16 @@ def sideband_asymmetry(
             "integrated weights are unreliable",
             stacklevel=2,
         )
-    red = replace(params_template, delta=-omega_m)
-    blue = replace(params_template, delta=+omega_m)
+    drives = [replace(params_template, delta=d) for d in (-omega_m, omega_m)]
     # before the coverage check, which reads the cavity's hbar
-    for p in (red, blue):
+    for p in drives:
         _require_stable(p, osc)
 
-    span = 0.0
     at_omega_m = FrequencyGrid(np.array([omega_m]))
-    for p in (red, blue):
-        chi_ff_res = cavity_susceptibilities(p, at_omega_m).chi_ff.values[0]
-        gamma_eff = osc.gamma_m + chi_ff_res.imag / (osc.mass * omega_m)
-        span = max(span, 10.0 * abs(gamma_eff))
+    gamma_eff = [osc.gamma_m + cavity_susceptibilities(p, at_omega_m).chi_ff.values[0].imag
+                 / (osc.mass * omega_m) for p in drives]
+    # 0.0 first, so a NaN linewidth is passed over
+    span = max(0.0, *(10.0 * abs(g) for g in gamma_eff))
     points = grid.points
     if points[0] > omega_m - span or points[-1] < omega_m + span:
         raise GridMismatchError(
@@ -269,14 +273,8 @@ def sideband_asymmetry(
             f"[{points[0]:.9g}, {points[-1]:.9g}]"
         )
 
-    total_red, floor_red = _total_and_floor(red, osc, grid)
-    total_blue, floor_blue = _total_and_floor(blue, osc, grid)
-    # trapezoid rule written out: np.trapezoid needs numpy 2
-    dx = np.diff(points)
-    peak_red = total_red.values.real - floor_red
-    peak_blue = total_blue.values.real - floor_blue
-    area_red = float(np.sum(dx * (peak_red[1:] + peak_red[:-1]) / 2.0))
-    area_blue = float(np.sum(dx * (peak_blue[1:] + peak_blue[:-1]) / 2.0))
+    (total_red, area_red), (total_blue, area_blue) = (
+        _sideband(p, osc, grid) for p in drives)
     if osc.n_occupation == 0.0:
         ratio = math.inf
     elif area_red <= 0.0:

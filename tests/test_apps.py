@@ -1,6 +1,7 @@
 """Worked examples: dispersive qubit readout and monitored mechanics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,25 @@ class TestSidebandAsymmetry:
         unit = math.pi * HBAR / (osc.mass * osc.omega_m)
         assert res.area_red == pytest.approx(2.0 * unit, rel=2e-2)
         assert res.area_blue == pytest.approx(3.0 * unit, rel=2e-2)
+
+    def test_areas_are_each_drives_trapezoid_to_the_bit(self):
+        # each drive rebuilt from public calls: the imprecision floor, and
+        # the trapezoid of the spectrum above it over the grid
+        params, osc, grid = self._setup(2.0)
+        params = replace(params, theta=0.3)
+        res = q.sideband_asymmetry(params, osc, grid)
+        areas = []
+        for delta, spectrum in ((-osc.omega_m, res.spectrum_red),
+                                (osc.omega_m, res.spectrum_blue)):
+            p = replace(params, delta=delta)
+            floor = q.normalize(q.cavity_spectra(p, grid),
+                                q.cavity_susceptibilities(p, grid)).imprecision.values.real
+            peak = spectrum.values.real - floor
+            areas.append(float(np.sum(np.diff(grid.points)
+                                      * (peak[1:] + peak[:-1]) / 2.0)))
+        assert res.area_red == areas[0]
+        assert res.area_blue == areas[1]
+        assert res.ratio == res.area_blue / res.area_red
 
     def test_ratio_tracks_damping_corrected_form(self):
         params, osc, grid = self._setup(2.0)

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from qdetnoise import core
+from qdetnoise import core, netsolve
 from conftest import (HBARS, draw_cavity, exceptional_pair, gap_scale,
                       referred_residuals)
 
@@ -248,6 +248,23 @@ class TestExactGap:
                                             q.solve_susceptibilities(net, grid))
             assert np.all(np.abs(rho) <= self.TOL * s), theta
             assert np.all(report.rank == 0), theta
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item A: squeezed inputs "
+                       "lose rho to e^{2r} cancellation above the limit too")
+    def test_split_decay_with_large_squeezing(self):
+        # the split-decay cavity above at k = gbar = hbar = 1 and eta = 0.5
+        # with a pure state squeezed at r = 8: rho = 1 / eta - 1 = 1 exactly
+        net = q.passive_network(
+            [[0.0]], [[np.sqrt(0.5)], [np.sqrt(0.5)]],
+            force=q.Observable(mode_quad=[np.sqrt(2.0), 0.0], output_quad=np.zeros(4)),
+            readout=q.Observable(mode_quad=np.zeros(2),
+                                 output_quad=[0.0, 1.0, 0.0, 0.0]),
+            input_state=q.InputState(0.0, 8.0, 0.0))
+        grid = q.make_symmetric_grid(5.0, 16)
+        rho, _, report = _rho_and_scale(q.solve_unsym_spectra(net, grid),
+                                        q.solve_susceptibilities(net, grid))
+        assert np.all(report.rank == 1)
+        assert np.all(np.abs(rho - 1.0) <= self.TOL * 2.0)
 
 
 class TestPositivityMargin:
@@ -698,9 +715,27 @@ class TestKuboInReport:
 class TestOpenAuditDefects:
     """Known false verdicts, each pinned until its ROADMAP item lands.
 
-    Both specs are strict xfails: the change that fixes a defect makes its
-    spec pass, and must then remove the marker.
+    The three specs are strict xfails: the change that fixes a defect makes
+    its spec pass, and must then remove the marker.
     """
+
+    @staticmethod
+    def _chain_report(grid):
+        # a lossless 3-mode chain driven far off resonance: decay 0.1 on
+        # mode 1, hops 0.2, the force on mode 3's X quadrature, vacuum in,
+        # so rho = 0 and every rank is 0 (ROADMAP U)
+        h = np.diag([-1.0, -1.0, -1.0]).astype(complex)
+        h[0, 1], h[1, 2] = 0.2, 0.2 * np.exp(1j)
+        h[1, 0], h[2, 1] = np.conj(h[0, 1]), np.conj(h[1, 2])
+        net = q.passive_network(
+            h, [[np.sqrt(0.1), 0.0, 0.0]],
+            force=q.Observable(mode_quad=[0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                               output_quad=np.zeros(2)),
+            readout=q.Observable(mode_quad=np.zeros(6),
+                                 output_quad=[np.cos(-1.0), np.sin(-1.0)]))
+        report = q.constraint_report(q.solve_unsym_spectra(net, grid),
+                                     q.solve_susceptibilities(net, grid))
+        return net, report
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item A: squeezed inputs "
                        "lose the quantum limit to e^{2r} cancellation")
@@ -710,6 +745,19 @@ class TestOpenAuditDefects:
                                 q.InputState(0.0, 8.0, 0.0))
         report = q.constraint_report(uns, susc)
         assert set(report.verdicts) == {q.Verdict.quantum_limited}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item S: the eigen path's "
+                       "round-off exceeds the gap's tolerance far off resonance")
+    def test_lossless_chain_off_resonance_is_quantum_limited(self):
+        net, report = self._chain_report(q.make_symmetric_grid(5.0, 16))
+        assert net._modes[1] is not None  # the eigen path: cond(V) is 1.2
+        assert np.all(report.rank == 0)
+
+    def test_lossless_chain_off_resonance_on_the_batched_path(self, monkeypatch):
+        monkeypatch.setattr(netsolve, "_MAX_MODE_COND", -1.0)
+        net, report = self._chain_report(q.make_symmetric_grid(5.0, 16))
+        assert net._modes[1] is None
+        assert np.all(report.rank == 0)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item B: the verdict reads "
                        "the uncertainty gap alone, not Kubo or positivity")
