@@ -8,35 +8,45 @@ readout and mechanical position sensing.
 
 Layer map:
 
+* :mod:`qdetnoise._params`     hbar and the cavity record, free of numpy
+* :mod:`qdetnoise._qubit`      qubit readout's scalar closed forms, free of
+                               numpy
 * :mod:`qdetnoise.core`        units, grids, sampled spectra, parameter and
                                result records, the rules shared by all layers
+                               (re-exports ``_params``)
 * :mod:`qdetnoise.cavity`      closed-form cavity detector, ``normalize``
 * :mod:`qdetnoise.netsolve`    state-space engine for arbitrary linear networks
 * :mod:`qdetnoise.constraints` quantum-limit checks, SISO and MIMO
-* :mod:`qdetnoise.apps`        qubit readout and sideband thermometry
-* :mod:`qdetnoise.cli`         reproducible batch runs
+* :mod:`qdetnoise.apps`        qubit readout (re-exports ``_qubit``) and
+                               sideband thermometry
+* :mod:`qdetnoise.cli`         reproducible batch runs; it loads ``_params``
+                               and ``errors``, each command the rest it uses,
+                               and ``qubit`` loads no numpy
 
 Importing the package loads none of these modules. A public name loads its
 module on first access (PEP 562), so a process pays only for the layers it
-uses; a submodule is reachable as an attribute all the same.
+uses; a submodule is reachable as an attribute all the same. A name that
+``core`` or ``apps`` re-exports loads from the module that defines it, so
+``qubit_rates`` and ``CavityParams`` load no numpy.
 """
 
 import importlib as _importlib
 
 # each module and the public names it defines
 _EXPORTS = {
-    "apps": ("AsymmetryResult", "QubitReadoutResult", "asymmetry_grid",
-             "closed_loop_poles", "modified_mech_susceptibility",
-             "optimal_angle", "qubit_rates", "sideband_asymmetry",
+    "_params": ("CavityParams", "UnitConvention"),
+    "_qubit": ("QubitReadoutResult", "optimal_angle", "qubit_rates"),
+    "apps": ("AsymmetryResult", "asymmetry_grid", "closed_loop_poles",
+             "modified_mech_susceptibility", "sideband_asymmetry",
              "thermal_force_spectrum"),
     "cavity": ("cavity_spectra", "cavity_susceptibilities",
                "cavity_unsym_spectra", "normalize"),
     "cli": ("RunConfig", "main", "parse_config", "parse_input_state"),
     "constraints": ("ConstraintReport", "Verdict", "assemble_mimo_matrix",
                     "constraint_report", "mimo_quantum_limit"),
-    "core": ("CavityParams", "ComplexSpectrum", "FrequencyGrid", "InputState",
-             "MechOscillator", "NormalizedSpectra", "SpectraSet",
-             "SusceptibilitySet", "UnitConvention", "make_symmetric_grid"),
+    "core": ("ComplexSpectrum", "FrequencyGrid", "InputState", "MechOscillator",
+             "NormalizedSpectra", "SpectraSet", "SusceptibilitySet",
+             "make_symmetric_grid"),
     "errors": ("DegenerateReadoutError", "GridMismatchError",
                "InvalidMatrixError", "NotAValidDetectorError",
                "OpticalSpringInstabilityError", "QDetNoiseError",

@@ -4,7 +4,8 @@ Two workloads live here:
 
 * dispersive qubit readout: measurement and dephasing rates extracted from
   the zero-frequency gain and force noise of a driven cavity detector, plus
-  the homodyne angle that saturates the rate inequality;
+  the homodyne angle that saturates the rate inequality, scalar closed
+  forms defined in the numpy-free ``_qubit`` and re-exported here;
 * position sensing of a mechanical oscillator: back-action-modified
   mechanical response, thermal force noise, the total measurement-referred
   output spectrum, and motional sideband asymmetry.
@@ -16,12 +17,13 @@ in the lower half-plane, and symmetrized spectra are real.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+# the qubit forms need no arrays: they live apart, so qubit loads no numpy
+from ._qubit import QubitReadoutResult, optimal_angle, qubit_rates  # noqa: F401
 from .cavity import cavity_spectra, cavity_susceptibilities, normalize
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, MechOscillator,
                    _adopt, _require_count, _require_width)
@@ -30,23 +32,6 @@ from .errors import (
     GridMismatchError,
     OpticalSpringInstabilityError,
 )
-
-
-@dataclass(frozen=True)
-class QubitReadoutResult:
-    """Readout figures of merit for a dispersively coupled qubit.
-
-    ``gamma_meas`` is the rate at which the output record distinguishes the
-    two qubit states, ``gamma_phi`` the ensemble dephasing rate driven by
-    force (photon number) fluctuations, ``ratio`` their quotient
-    ``gamma_phi / gamma_meas`` (always >= 1), and ``theta_opt`` the homodyne
-    angle that drives the ratio to 1 for the given cavity parameters.
-    """
-
-    gamma_meas: float
-    gamma_phi: float
-    ratio: float
-    theta_opt: float
 
 
 @dataclass(frozen=True)
@@ -67,59 +52,6 @@ class AsymmetryResult:
     area_red: float
     area_blue: float
     ratio: float
-
-
-def optimal_angle(gamma: float, delta: float) -> float:
-    """Homodyne angle at which readout reaches the quantum limit.
-
-    Solves ``delta*sin(theta) + gamma*cos(theta) = 0`` for theta, which
-    zeroes the excess-dephasing term in the rate ratio.  The answer is
-    defined modulo pi; this returns the branch in (-pi/2, pi/2].
-    """
-    if gamma == 0.0 and delta == 0.0:
-        raise ValueError("optimal angle undefined when gamma and delta both vanish")
-    if delta == 0.0:
-        return math.pi / 2
-    return -math.atan(gamma / delta)
-
-
-def qubit_rates(params: CavityParams) -> QubitReadoutResult:
-    """Measurement and dephasing rates for dispersive qubit readout.
-
-    Both rates come from the zero-frequency limits of the cavity detector:
-    the measurement rate from the squared gain over the imprecision floor,
-    the dephasing rate from the symmetrized force noise.  Raises
-    :class:`DegenerateReadoutError` when the chosen homodyne angle has no
-    zero-frequency gain (``delta*cos(theta) = gamma*sin(theta)``), since no
-    information reaches the record there, and ValueError when a rate
-    overflows float64 or gamma and delta are so small that the squared
-    denominator (delta^2 + gamma^2)^2 is not a normal float.
-    """
-    gamma, delta, theta, gbar = params.gamma, params.delta, params.theta, params.gbar
-    gain = delta * math.cos(theta) - gamma * math.sin(theta)
-    if abs(gain) <= 1e-12 * math.hypot(gamma, delta):
-        raise DegenerateReadoutError(
-            "zero-frequency readout gain vanishes at this homodyne angle "
-            f"(gamma={gamma:g}, delta={delta:g}, theta={theta:g})"
-        )
-    denom = delta * delta + gamma * gamma
-    if denom * denom < sys.float_info.min:
-        raise ValueError(f"(delta^2 + gamma^2)^2 underflows float64 at gamma={gamma:g}, "
-                         f"delta={delta:g}: the parameters are out of range")
-    gamma_meas = 4.0 * gbar * gbar * gamma * gain * gain / (denom * denom)
-    gamma_phi = 4.0 * gbar * gbar * gamma / denom
-    if not (math.isfinite(gamma_meas) and math.isfinite(gamma_phi)):
-        raise ValueError("a readout rate overflows float64: the parameters are "
-                         "out of range")
-    orthogonal = delta * math.sin(theta) + gamma * math.cos(theta)
-    # Written as 1 + square so the bound ratio >= 1 holds in floating point.
-    ratio = 1.0 + (orthogonal / gain) ** 2
-    return QubitReadoutResult(
-        gamma_meas=gamma_meas,
-        gamma_phi=gamma_phi,
-        ratio=ratio,
-        theta_opt=optimal_angle(gamma, delta),
-    )
 
 
 def modified_mech_susceptibility(

@@ -16,9 +16,13 @@ survives the argv round trip.  One parser takes the command and the full
 flag set, in any order.  ``_COMMANDS`` holds each command's help and the
 fields it reads (``--format`` and ``--out`` belong to all); :func:`main`
 refuses a run that sets any other field away from its default, so the
-``# config:`` echo never records a setting its numbers ignore.  Each
-command imports the library layers it calls when it runs, so a process
-loads only its own command's modules.  Each command, ``cmd_<name>`` with
+``# config:`` echo never records a setting its numbers ignore.  The
+module itself loads only ``_params`` and ``errors``.  Each command
+imports the library layers it calls when it runs, so a process loads only
+its own command's modules; numpy, ``core`` and ``_format`` load with the
+commands and the writer code that use them.  So ``qubit``, whose closed
+forms and table of scalars need no arrays, runs without numpy, and
+:func:`main` enters ``np.errstate`` for every other command.  Each command, ``cmd_<name>`` with
 the name's dashes as underscores, builds its table, ``(columns,
 scalars)``, and returns it without touching a file; :func:`main` looks the
 function up in the module when it runs it, and writes the table with the
@@ -40,6 +44,7 @@ unstable spring).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -49,11 +54,7 @@ import warnings
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
-from ._format import format_e16, format_repr
-from .core import (CavityParams, ComplexSpectrum, InputState, MechOscillator,
-                   make_symmetric_grid)
+from ._params import CavityParams
 from .errors import InvalidMatrixError, QDetNoiseError
 
 _FORMATS = ("csv", "json")
@@ -146,6 +147,8 @@ _OPTIONS = dataclasses.fields(RunConfig)[1:]
 
 def parse_input_state(spec: str) -> InputState:
     """Parse ``vacuum``, ``thermal:<n>``, or ``squeezed:<r>,<phi>``."""
+    from .core import InputState
+
     body = spec.strip()
     if body == "vacuum":
         return InputState.vacuum()
@@ -244,6 +247,27 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
     columns are read in place.
     """
     scalars = {name: float(value) for name, value in (scalars or {}).items()}
+    # a table of scalars only is written without numpy
+    cells, label, worst = _cells(columns) if columns else ({}, None, None)
+    if cfg.fmt == "csv":
+        chunks = _csv_chunks(cfg, cells, scalars, label)
+    else:
+        doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
+        if worst is not None:
+            doc["worst_verdict"] = worst
+        chunks = _json_chunks(doc, label)
+    with _output_path(cfg).open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    return worst
+
+
+def _cells(columns: dict[str, Sequence]) -> tuple[dict[str, np.ndarray],
+                                                 Callable | None, str | None]:
+    """``_write``'s columns as arrays, checked, with the verdict column's
+    block labeller and worst label (None and None without one)."""
+    import numpy as np
+
     cells = {name: np.asarray(col, dtype=None if name == "verdict" else float)
              for name, col in columns.items()}
     label = worst = None
@@ -264,23 +288,13 @@ def _write(cfg: RunConfig, columns: dict[str, Sequence],
             raise ValueError(f"column {name} overflows float64 at row "
                              f"{int(np.argmin(np.isfinite(col)))}: the "
                              "configuration is out of range")
-    if cfg.fmt == "csv":
-        chunks = _csv_chunks(cfg, cells, scalars, label)
-    else:
-        doc = {**cells, **scalars, "config": dataclasses.asdict(cfg)}
-        if worst is not None:
-            doc["worst_verdict"] = worst
-        chunks = _json_chunks(doc, label)
-    with _output_path(cfg).open("wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    return worst
+    return cells, label, worst
 
 
 def _labels(labels: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """The ``dtype="S"`` labels of a block of ranks as a uint8 array, one
     zero-padded row per rank."""
-    return labels[rank].view(np.uint8).reshape(len(rank), labels.itemsize)
+    return labels[rank].view("uint8").reshape(len(rank), labels.itemsize)
 
 
 def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
@@ -289,6 +303,8 @@ def _join(parts: list[bytes | np.ndarray], n: int) -> np.ndarray:
     An array part is an ``(n, width)`` uint8 block of zero-padded cells; a
     ``bytes`` part is repeated down the rows.
     """
+    import numpy as np
+
     out = np.concatenate([
         np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (n, len(part)))
         if isinstance(part, bytes) else part for part in parts], axis=1)
@@ -310,10 +326,17 @@ def _csv_chunks(cfg: RunConfig, cells: dict[str, np.ndarray],
     head = f"# config: {_config_echo(cfg)}\n{','.join([*cells, *scalars])}\n"
     yield head.encode("ascii")
     suffix = ",".join("%.16e" % value for value in scalars.values()) + "\n"
-    if cells and scalars:
+    if not cells:  # the one row of a table of scalars only
+        yield suffix.encode("ascii")
+        return
+    import numpy as np
+
+    from ._format import format_e16
+
+    if scalars:
         suffix = "," + suffix
     floats = [col for col in cells.values() if col.dtype == float]
-    n_rows = len(next(iter(cells.values()))) if cells else 1
+    n_rows = len(next(iter(cells.values())))
     step = max(1, _CHUNK_CELLS // max(len(floats), 1))
     for first in range(0, n_rows, step):
         rows = slice(first, first + step)
@@ -339,7 +362,11 @@ def _json_chunks(doc: dict, label: Callable | None) -> Iterator[bytes | np.ndarr
     for i, key in enumerate(sorted(doc)):
         value = doc[key]
         head = f"{',' if i else '{'}\n  {json.dumps(key)}: "
-        if isinstance(value, np.ndarray) and value.size:
+        # an array, or else a scalar, the config or the worst verdict
+        array = not isinstance(value, (float, str, dict))
+        if array and value.size:
+            from ._format import format_repr
+
             encode, quote = (format_repr, b"") if value.dtype == float else (label, b'"')
             yield f"{head}[\n".encode("ascii")
             for first in range(0, value.size, _CHUNK_ROWS):
@@ -348,7 +375,7 @@ def _json_chunks(doc: dict, label: Callable | None) -> Iterator[bytes | np.ndarr
                 yield rows if first + _CHUNK_ROWS < value.size else rows[:-2]
             yield b"\n  ]"
             continue
-        value = value.tolist() if isinstance(value, np.ndarray) else value
+        value = value.tolist() if array else value
         body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         yield f"{head}{body}".encode("ascii")
     yield b"\n}\n"
@@ -367,12 +394,15 @@ def _cavity_params(cfg: RunConfig) -> CavityParams:
 
 
 def _oscillator(cfg: RunConfig) -> MechOscillator:
+    from .core import MechOscillator
+
     return MechOscillator(omega_m=cfg.omega_m, gamma_m=cfg.gamma_m,
                           mass=cfg.mass, n_occupation=cfg.n_occ)
 
 
 def cmd_spectra(cfg: RunConfig) -> Table:
     from .cavity import cavity_spectra, cavity_susceptibilities, normalize
+    from .core import make_symmetric_grid
 
     params = _cavity_params(cfg)
     grid = make_symmetric_grid(cfg.omega_max, cfg.n_half)
@@ -414,6 +444,7 @@ def cmd_spectra(cfg: RunConfig) -> Table:
 
 def cmd_check(cfg: RunConfig) -> Table:
     from .constraints import constraint_report
+    from .core import make_symmetric_grid
     from .netsolve import (build_one_sided_cavity, solve_susceptibilities,
                            solve_unsym_spectra)
 
@@ -436,13 +467,14 @@ def cmd_check(cfg: RunConfig) -> Table:
 
 
 def cmd_qubit(cfg: RunConfig) -> Table:
-    from .apps import qubit_rates
+    from ._qubit import qubit_rates
 
     return {}, dataclasses.asdict(qubit_rates(_cavity_params(cfg)))
 
 
 def cmd_mech(cfg: RunConfig) -> Table:
     from .apps import asymmetry_grid, sideband_asymmetry
+    from .core import ComplexSpectrum
 
     params = _cavity_params(cfg)
     osc = _oscillator(cfg)
@@ -471,6 +503,8 @@ def _read_mimo_blocks(path: Path) -> tuple[np.ndarray, np.ndarray]:
     from ``np.loadtxt`` as it is reached. omega is checked once all rows
     are read.
     """
+    import numpy as np
+
     with path.open(encoding="utf-8") as fh:
         lines = (line for line in map(str.strip, fh)
                  if line and not line.startswith(("#", "omega")))
@@ -551,9 +585,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             if (field.name not in (*reads, "fmt", "out")
                     and getattr(cfg, field.name) != field.default):
                 raise ValueError(f"{_flag(field)} has no effect on {cfg.command}")
-        # float64 overflow, 0/0 and x/0 raise here, to exit 2 below
-        with warnings.catch_warnings(), np.errstate(
-                over="raise", invalid="raise", divide="raise"):
+        # float64 overflow, 0/0 and x/0 raise here, to exit 2 below; qubit's
+        # Python floats need no numpy, and its closed forms check their range
+        errstate = contextlib.nullcontext()
+        if cfg.command != "qubit":
+            import numpy as np
+
+            errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+        with warnings.catch_warnings(), errstate:
             warnings.showwarning = _show_warning
             # the command, like _write, is the module's attribute when it
             # runs, so a wrapper set on the module is the one called; the

@@ -26,12 +26,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+# the parameter records qubit needs, numpy-free in _params; core's own
+# records apply the same finiteness rule
+from ._params import CavityParams, UnitConvention, _require_finite  # noqa: F401
 from .errors import GridMismatchError, SingularNormalizationError
 
 _IMAG_TOL = 1e-12
@@ -40,14 +42,6 @@ _IMAG_TOL = 1e-12
 # check walk their rows in blocks of this size, so their working memory
 # does not grow with the grid.
 _BLOCK_BYTES = 100_000
-
-
-def _require_finite(record) -> None:
-    """Reject a parameter record whose real-valued fields hold NaN or inf."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 def _require_width(name: str, value: float) -> None:
@@ -62,21 +56,6 @@ def _require_count(name: str, value: float, least: int) -> int:
         raise ValueError(f"{name} must be a whole number of at least {least}, "
                          f"got {value!r}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class UnitConvention:
-    """Value of hbar all formulas read; the default is 1.
-
-    Set it on a model record when feeding laboratory numbers.
-    """
-
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not (self.hbar > 0):
-            raise ValueError("hbar must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,30 +169,6 @@ def _require_grid(grid: FrequencyGrid, name: str, other: FrequencyGrid) -> None:
     unless its grid ``other`` equals ``grid``: the one grid rule."""
     if other != grid:
         raise GridMismatchError(f"{name} lives on a different grid")
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """One-sided cavity probe with homodyne readout.
-
-    gamma: cavity amplitude decay rate (> 0)
-    delta: drive detuning, drive frequency minus cavity resonance
-    gbar:  linearized coupling rate (> 0)
-    theta: homodyne angle selecting the measured output quadrature
-    """
-
-    gamma: float
-    delta: float
-    gbar: float
-    theta: float = 0.0
-    units: UnitConvention = UnitConvention()
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
-        if not (self.gbar > 0):
-            raise ValueError("gbar must be positive")
 
 
 @dataclass(frozen=True)

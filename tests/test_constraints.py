@@ -148,6 +148,51 @@ class TestWideRange:
                       <= 1e-12 * scale / hbar)
 
 
+class TestUnitCovariance:
+    """hbar times 4^k is an exact change of units in binary floating point:
+    each array of the engine, the audit and the closed forms gains the power
+    of two of its own power of hbar, and no rank moves (ROADMAP item T)."""
+
+    # each array's power of hbar: the force carries one, so a spectrum holds
+    # one per force in it, and a response, (i/hbar) times a commutator, one less
+    POWER = {"chi_zf": 0, "chi_ff": 1, "s_zz": 0, "s_zf": 1, "s_ff": 2,
+             "uncertainty_gap": 2, "product_residual": 2, "correlation_residual": 1,
+             "kubo_residual": 1, "positivity_margin": 2}
+
+    @staticmethod
+    def arrays(params, grid, state):
+        """(name, float array) of the engine's and the closed forms' responses
+        and spectra, then of the report's residuals; and the ranks."""
+        uns, susc = _engine_run(params, grid, state)
+        report = q.constraint_report(uns, susc)
+        closed = (q.cavity_susceptibilities(params, grid),
+                  q.cavity_unsym_spectra(params, grid))
+        arrays = [(name, getattr(chi if name.startswith("chi") else spectra,
+                                 name).values.view(float))
+                  for chi, spectra in ((susc, uns), closed)
+                  for name in ("chi_zf", "chi_ff", "s_zz", "s_zf", "s_ff")]
+        arrays += [(name, getattr(report, name)) for name in
+                   ("uncertainty_gap", "product_residual", "correlation_residual",
+                    "kubo_residual", "positivity_margin")]
+        return arrays, report.rank
+
+    @pytest.mark.parametrize("state", [q.InputState.vacuum(), q.InputState.thermal(0.8),
+                                       q.InputState.squeezed(0.7)],
+                             ids=["vacuum", "thermal", "squeezed"])
+    def test_hbar_times_a_power_of_four(self, grid129, state):
+        params = q.CavityParams(gamma=2.0, delta=0.5, gbar=1.0, theta=0.4)
+        base, rank = self.arrays(params, grid129, state)
+        assert len(base) == 15
+        for k in (-20, -3, 2, 15):
+            units = q.UnitConvention(4.0 ** k)
+            scaled, scaled_rank = self.arrays(
+                dataclasses.replace(params, units=units), grid129, state)
+            assert np.array_equal(scaled_rank, rank), k
+            for (name, values), (_, scaled_values) in zip(base, scaled):
+                assert np.array_equal(np.ldexp(values, 2 * k * self.POWER[name]),
+                                      scaled_values), (name, k)
+
+
 def _rho_and_scale(spectra, susc):
     """rho, the gap over its floor (hbar^2/4)|chi_zf|^2, and the gap's scale
     over the same floor, per frequency; with the report."""

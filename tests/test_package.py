@@ -141,14 +141,14 @@ import qdetnoise.constraints
 assert "qdetnoise.cavity" not in sys.modules
 """
 
-# each command's runs, then the modules that none of them may load
+# each command's runs, then the modules, numpy among them, that none of
+# them may load
 _COMMAND_MODULES = """
 import sys
 from qdetnoise.cli import main
 for argv in RUNS:
     assert main([*argv, "--out=" + argv[0] + ".csv"]) == 0, argv
-loaded = {name for name in sys.modules if name.startswith("qdetnoise.")}
-assert not loaded & UNUSED, loaded & UNUSED
+assert not UNUSED & sys.modules.keys(), UNUSED & sys.modules.keys()
 """
 
 
@@ -157,12 +157,14 @@ def test_import_loads_no_submodule(tmp_path):
 
 
 @pytest.mark.parametrize("runs,unused", [
+    ([["qubit"], ["qubit", "--format=json"]],
+     {"numpy", "qdetnoise.core", "qdetnoise.apps"}),
     ([["qubit"], ["mech", "--gamma=0.05", "--gbar=1e-4", "--gamma-m=1e-3"],
       ["spectra", "--n-half=8"]], {"qdetnoise.netsolve", "qdetnoise.constraints"}),
     ([["check", "--n-half=8"]], {"qdetnoise.apps", "qdetnoise.cavity"}),
     ([["mimo-check", "--mimo-input=blocks.csv"]],
      {"qdetnoise.apps", "qdetnoise.cavity"}),
-], ids=["qubit-mech-vacuum-spectra", "check", "mimo-check"])
+], ids=["qubit", "qubit-mech-vacuum-spectra", "check", "mimo-check"])
 def test_commands_load_only_their_layers(runs, unused, tmp_path):
     (tmp_path / "blocks.csv").write_text(_BLOCKS_CSV)
     _run_fresh(f"RUNS = {runs!r}\nUNUSED = {unused!r}\n" + _COMMAND_MODULES,
@@ -170,13 +172,38 @@ def test_commands_load_only_their_layers(runs, unused, tmp_path):
 
 
 def test_only_core_lends_private_names():
-    # the rules several layers share live in core; any other private name
-    # stays in its module, also where a function imports it
+    # the rules several layers share live in core, and the finiteness rule
+    # of the parameter records in _params; any other private name stays in
+    # its module, also where a function imports it
     for path in sorted((ROOT / "src" / "qdetnoise").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level and node.module != "core":
+            if (isinstance(node, ast.ImportFrom) and node.level
+                    and node.module not in ("core", "_params")):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+@pytest.mark.parametrize("module", ["_params", "_qubit"])
+def test_numpy_free_modules_import_only_the_standard_library(module):
+    # what makes _params safe to lend from, and qubit free of numpy
+    path = ROOT / "src" / "qdetnoise" / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("errors", "_params"), (module, node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (module, name)
+
+
+def test_process_entry_imports_no_numpy(tmp_path):
+    # the import that python -m qdetnoise makes before its command runs
+    _run_fresh("""
+import sys
+import qdetnoise.__main__
+assert "numpy" not in sys.modules
+""", tmp_path)
 
 
 def test_each_name_is_its_modules_object():
@@ -208,6 +235,22 @@ except SystemExit as exc:
 assert gc.get_freeze_count() > 0
 """, tmp_path)
     assert (tmp_path / "qubit.csv").exists()
+
+
+def test_process_entry_freezes_what_the_command_loaded(tmp_path):
+    # numpy loads inside check, after the first freeze; the second one, as
+    # the command returns, keeps shutdown's collection off its objects
+    _run_fresh("""
+import gc, runpy, sys
+sys.argv = ["qdetnoise", "check", "--n-half=8"]
+try:
+    runpy.run_module("qdetnoise", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+numpy_dict = vars(sys.modules["numpy"])
+assert not any(obj is numpy_dict for obj in gc.get_objects())
+""", tmp_path)
+    assert (tmp_path / "check.csv").exists()
 
 
 @pytest.mark.parametrize("script,args,header,n_rows", [

@@ -8,8 +8,9 @@ starts fresh Python processes that import ``qdetnoise.cli`` and run the
 operation's arguments through ``qdetnoise.__main__.run``, the entry of
 ``python -m qdetnoise``, in a temporary directory that holds the cycle's
 input files.
-``import_s`` is the import of ``qdetnoise.cli`` alone; each command loads
-its own library modules when it runs, inside ``compute_s``.
+``import_s`` is the import of ``qdetnoise.cli`` alone, which loads no
+numpy; each command loads its own library modules when it runs, inside
+``compute_s``, and numpy with them for every command but ``qubit``.
 ``serialise_s`` is the time inside ``cli._write``, which the process wraps
 with a timer before the call; ``compute_s`` is the rest of the run:
 argument parsing, the command's imports, reading inputs, the library and
