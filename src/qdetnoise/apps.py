@@ -71,13 +71,14 @@ def modified_mech_susceptibility(
     loop = chi0.values * chi_ff.values
     den = 1.0 - loop
     blown = np.abs(den) < 1e-12 * np.abs(loop)
+    del loop
     if np.any(blown):
         omega_bad = chi_ff.grid.points[blown][0]
         raise OpticalSpringInstabilityError(
             f"dressed mechanical response diverges at omega={omega_bad:.9g}: "
             "closed-loop pole on the real axis"
         )
-    return _adopt(chi_ff.grid, chi0.values / den)
+    return _adopt(chi_ff.grid, np.divide(chi0.values, den, out=den))
 
 
 def thermal_force_spectrum(osc: MechOscillator, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -147,7 +148,9 @@ def _sideband(
     """
     susc = cavity_susceptibilities(params, grid)
     norm = normalize(cavity_spectra(params, grid), susc)
-    chi_q = modified_mech_susceptibility(osc, susc.chi_ff)
+    chi_ff = susc.chi_ff
+    del susc  # normalize has read chi_zf, and chi_zz and chi_fz are zero
+    chi_q = modified_mech_susceptibility(osc, chi_ff)
     force = norm.force.values.real + thermal_force_spectrum(osc, grid).values.real
     floor = norm.imprecision.values.real
     total = (

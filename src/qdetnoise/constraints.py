@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FrequencyGrid, SpectraSet, SusceptibilitySet, UnitConvention,
-                   _blocks, _kubo_residual, _require_grid, _require_signal)
+                   _blocks, _kubo_residual, _require_even_auto, _require_grid,
+                   _require_signal, _symmetrized)
 from .errors import InvalidMatrixError, NotAValidDetectorError
-from .netsolve import symmetrize
 
 # Relative tolerance of the gap and determinant verdicts, of the
 # valid-detector premise and of a MIMO block's positive semidefiniteness.
@@ -120,14 +120,18 @@ def _require_valid_detector(susc: SusceptibilitySet, amplitude: np.ndarray) -> N
             "measurability of the record requires both to vanish")
 
 
-def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float,
-               signal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gap_terms(s_zz: np.ndarray, s_ff: np.ndarray, s_zf: np.ndarray,
+               susc: SusceptibilitySet, hbar: float, signal: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terms of the gap from one read of the five spectra, with the signal
     |chi_zf|^2 as the caller formed it.
 
-    Returns d0 = S_zz S_ff - |S_zf|^2 - (hbar^2/4)|chi_zf|^2, the signed
-    term hbar Im[S_zf^* chi_zf - chi_ff S_zz], and the scale of the gap: the
-    largest magnitude among its four constituents.
+    ``s_zz`` and ``s_ff`` are the real parts of the symmetrized autos and
+    ``s_zf`` the unsymmetrized cross spectrum, which is symmetrized here
+    (``core._symmetrized``) a block at a time. Returns d0 = S_zz S_ff -
+    |S_zf|^2 - (hbar^2/4)|chi_zf|^2, the signed term hbar Im[S_zf^* chi_zf
+    - chi_ff S_zz], and the scale of the gap: the largest magnitude among
+    its four constituents.
 
     Non-finite spectra pass through, so their gap is classified a violation.
     Finite spectra whose terms overflow float64 raise ValueError: the input
@@ -140,18 +144,16 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float,
     here, and the CLI ignores underflow, so no operation of the walk raises
     and the blocks cannot change which error a caller sees first.
     """
-    s_zz = spectra.s_zz.values.real
-    s_ff = spectra.s_ff.values.real
-    s_zf = spectra.s_zf.values
     chi_zf = susc.chi_zf.values
     chi_ff = susc.chi_ff.values
     d0, im_term, scale = (np.empty(len(signal)) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _blocks(len(signal), 1):
+        for a, b in _blocks(len(signal), 2):  # S_zf's mirror and sum
+            zf = _symmetrized(s_zf, cross=True, block=slice(a, b))
             zz_ff = s_zz[a:b] * s_ff[a:b]
-            zf_sq = np.abs(s_zf[a:b]) ** 2
+            zf_sq = np.abs(zf) ** 2
             chi_sq = 0.25 * hbar ** 2 * signal[a:b]
-            im = np.multiply(hbar, np.imag(np.conj(s_zf[a:b]) * chi_zf[a:b]
+            im = np.multiply(hbar, np.imag(np.conj(zf) * chi_zf[a:b]
                                            - chi_ff[a:b] * s_zz[a:b]), out=im_term[a:b])
             np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
                        np.maximum(chi_sq, np.abs(im)), out=scale[a:b])
@@ -159,10 +161,12 @@ def _gap_terms(spectra: SpectraSet, susc: SusceptibilitySet, hbar: float,
     overflow = ~(np.isfinite(d0) & np.isfinite(scale))
     if not np.any(overflow):
         return d0, im_term, scale
-    for term in (s_zz, s_ff, s_zf, chi_zf, chi_ff):
-        overflow &= np.isfinite(term)
+    # S_zf, formed whole, has raised its errors in the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in (s_zz, s_ff, _symmetrized(s_zf, cross=True), chi_zf, chi_ff):
+            overflow &= np.isfinite(term)
     if np.any(overflow):
-        omega = spectra.grid.points[np.argmax(overflow)]
+        omega = susc.grid.points[np.argmax(overflow)]
         raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "
                          "the input spectra are out of range")
     return d0, im_term, scale
@@ -282,14 +286,18 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     readout carries no signal, (hbar^2/4)|chi_zf|^2 <= eps * scale, since the
     two equalities are referred to the signal and round-off is not one.
 
-    Memory: beside its inputs the audit holds the symmetrized spectra,
-    |chi_zf| and its square, and the gap's three terms, which
-    ``_gap_terms`` forms a block of points at a time. The symmetrized S_zz
-    and S_zf are dropped once read, the floor takes |chi_zf|'s buffer and
-    each residual the buffer of a term it was the last to read, so the
-    peak above the inputs is about a dozen float columns of the grid. The
-    operations that may raise under ``np.errstate`` run in the order of the
-    formulas above, so an input's first error does not depend on them.
+    Memory: beside its inputs the audit holds |chi_zf| and its square,
+    the real parts of the symmetrized S_zz and S_ff, and the gap's three
+    terms, which ``_gap_terms`` forms a block of points at a time with the
+    symmetrized S_zf. S_zf is also symmetrized whole once and dropped, so
+    that it raises where ``symmetrize`` raises. S_zz is dropped once read,
+    the floor takes |chi_zf|'s buffer, each residual the buffer of a term
+    it was the last to read, the positivity margin S_ff's and the verdict
+    threshold the scale's, and the signal is dropped once read. So the peak
+    above the inputs is about eight float columns of the grid. The
+    operations that may raise under ``np.errstate`` run in the order of
+    ``symmetrize`` and of the formulas above, so an input's first error
+    does not depend on them.
     """
     if spectra_unsym.symmetrized:
         raise ValueError("constraint_report expects unsymmetrized spectra")
@@ -300,27 +308,34 @@ def constraint_report(spectra_unsym: SpectraSet, susc: SusceptibilitySet,
     units = susc.units
     amplitude = np.abs(susc.chi_zf.values)
     _require_valid_detector(susc, amplitude)
-    sym = symmetrize(spectra_unsym)
+    spectra_unsym.grid.require_symmetric("symmetrization")
+    s_zz = _symmetrized(spectra_unsym.s_zz.values)
+    _symmetrized(spectra_unsym.s_zf.values, cross=True)  # raises where symmetrize does
+    s_ff = _symmetrized(spectra_unsym.s_ff.values)
+    _require_even_auto("s_zz", s_zz)
+    _require_even_auto("s_ff", s_ff)
+    s_zz, s_ff = s_zz.real.copy(), s_ff.real.copy()  # no imaginary part is read
     with np.errstate(over="ignore"):  # an overflow raises in _gap_terms
         signal = amplitude ** 2
-    d0, im_term, scale = _gap_terms(sym, susc, units.hbar, signal)
-    s_ff_sym = sym.s_ff.values.real
-    del sym  # S_zz and S_zf, symmetrized, are read: drop them
+    d0, im_term, scale = _gap_terms(s_zz, s_ff, spectra_unsym.s_zf.values, susc,
+                                    units.hbar, signal)
+    del s_zz
     # as amplitudes, since a floor whose square underflows is out of range
     floor = np.multiply(amplitude, 0.5 * units.hbar, out=amplitude)
-    _require_signal(susc.grid, np.isfinite(scale)
-                    & (floor <= np.sqrt(np.finfo(float).eps * scale)))
-    del floor, amplitude
+    root = np.multiply(np.finfo(float).eps, scale)  # rooted in its own buffer
+    _require_signal(susc.grid, np.isfinite(scale) & (floor <= np.sqrt(root, out=root)))
+    del floor, amplitude, root
     gap = d0 - np.abs(im_term)
-    # each residual takes the buffer of a term it was the last to read; the
+    # each result takes the buffer of a term it was the last to read; the
     # operations that may raise keep the order of the plain expressions
-    return ConstraintReport(
-        grid=spectra_unsym.grid,
-        uncertainty_gap=gap,
-        product_residual=np.divide(d0, signal, out=d0),
-        correlation_residual=np.divide(np.negative(im_term, out=im_term), np.multiply(
-            units.hbar, signal, out=signal), out=im_term),
-        kubo_residual=_kubo_residual(spectra_unsym.s_ff, susc.chi_ff, units),
-        positivity_margin=s_ff_sym - units.hbar * np.abs(susc.chi_ff.values.imag),
-        rank=classify_verdicts(gap, _TOL * np.maximum(scale, 1e-300, out=scale)),
-    )
+    product = np.divide(d0, signal, out=d0)
+    correlation = np.divide(np.negative(im_term, out=im_term), np.multiply(
+        units.hbar, signal, out=signal), out=im_term)
+    del signal
+    kubo = _kubo_residual(spectra_unsym.s_ff, susc.chi_ff, units)
+    margin = np.subtract(s_ff, units.hbar * np.abs(susc.chi_ff.values.imag), out=s_ff)
+    threshold = np.multiply(_TOL, np.maximum(scale, 1e-300, out=scale), out=scale)
+    return ConstraintReport(grid=spectra_unsym.grid, uncertainty_gap=gap,
+                            product_residual=product, correlation_residual=correlation,
+                            kubo_residual=kubo, positivity_margin=margin,
+                            rank=classify_verdicts(gap, threshold))

@@ -310,13 +310,34 @@ class SpectraSet(_OnOneGrid):
         super().__post_init__()
         if self.symmetrized:
             for name, spec in (("s_zz", self.s_zz), ("s_ff", self.s_ff)):
-                # against the spectrum's own peak, so the same in any units
-                limit = _IMAG_TOL * np.max(spec.values.real, initial=0.0)
-                if np.max(np.abs(spec.values.imag)) > limit:
-                    raise ValueError(f"symmetrized {name} has imaginary residue "
-                                     f"above {_IMAG_TOL} of its peak")
-                if np.min(spec.values.real) < -limit:
-                    raise ValueError(f"symmetrized {name} must be non-negative")
+                _require_even_auto(name, spec.values)
+
+
+def _symmetrized(values: np.ndarray, cross: bool = False,
+                 block: slice = slice(None)) -> np.ndarray:
+    """[v(omega) + v(-omega)] / 2 on the points ``block`` of a symmetric
+    grid, with v(-omega) conjugated for a ``cross`` spectrum.
+
+    The sums are halved part by part as reals: a complex multiply would
+    form 0 * inf from an infinite entry. Each value is formed alone, so a
+    block of points holds the same bits as the whole grid.
+    """
+    mirror = values[::-1][block]
+    total = values[block] + (np.conj(mirror) if cross else mirror)
+    np.multiply(total.view(float), 0.5, out=total.view(float))
+    return total
+
+
+def _require_even_auto(name: str, values: np.ndarray) -> None:
+    """Raise ValueError unless the symmetrized auto-spectrum ``values`` is
+    real and non-negative, each to _IMAG_TOL of its own largest value."""
+    # against the spectrum's own peak, so the same in any units
+    limit = _IMAG_TOL * np.max(values.real, initial=0.0)
+    if np.maximum(np.max(values.imag), -np.min(values.imag)) > limit:
+        raise ValueError(f"symmetrized {name} has imaginary residue "
+                         f"above {_IMAG_TOL} of its peak")
+    if np.min(values.real) < -limit:
+        raise ValueError(f"symmetrized {name} must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ import numpy as np
 
 from .core import (CavityParams, ComplexSpectrum, FrequencyGrid, InputState,
                    SpectraSet, SusceptibilitySet, UnitConvention, _adopt, _blocks,
-                   _in_float64_range, _kubo_residual)
+                   _in_float64_range, _kubo_residual, _symmetrized)
 from .errors import StabilityError
 
 _SQRT2 = np.sqrt(2.0)
@@ -487,18 +487,14 @@ def solve_unsym_spectra(net: LinearNetwork, grid: FrequencyGrid) -> SpectraSet:
 def symmetrize(spectra: SpectraSet) -> SpectraSet:
     """Even combination S_AB(omega) -> [S_AB(omega) + S_BA(-omega)] / 2.
 
-    Idempotent: symmetrized input comes back with equal values.  The sums
-    are halved part by part as reals: a complex multiply would form 0 * inf
-    from an infinite entry.
+    Idempotent: symmetrized input comes back with equal values. Each
+    spectrum is formed by ``core._symmetrized``, which ``constraint_report``
+    also calls: the audit keeps the autos' real parts alone and forms S_zf a
+    block at a time, so it builds no record of its own.
     """
     spectra.grid.require_symmetric("symmetrization")
-    s_zz = spectra.s_zz.values
-    s_ff = spectra.s_ff.values
-    s_zf = spectra.s_zf.values
-    s_zz, s_zf, s_ff = s_zz + s_zz[::-1], s_zf + np.conj(s_zf[::-1]), s_ff + s_ff[::-1]
-    for total in (s_zz, s_zf, s_ff):
-        parts = total.view(float)
-        parts *= 0.5
+    s_zz, s_zf, s_ff = (_symmetrized(s.values, cross) for s, cross in (
+        (spectra.s_zz, False), (spectra.s_zf, True), (spectra.s_ff, False)))
     return SpectraSet(
         grid=spectra.grid,
         s_zz=_adopt(spectra.grid, s_zz),

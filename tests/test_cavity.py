@@ -199,6 +199,19 @@ class TestSymmetrizedChecksAtAnyScale:
                 _symmetrized_with(name, scale * values)
 
 
+    @pytest.mark.parametrize("name", ["s_zz", "s_ff"])
+    @pytest.mark.parametrize("residue, accepted", [(-1e-13, True), (-1e-11, False)])
+    def test_negative_imaginary_residue_is_judged_by_its_size(self, name, residue,
+                                                              accepted):
+        # the largest |Im| is read as the larger of max Im and -min Im
+        values = np.linspace(0.25, 1.0, 9) + 0j
+        values[4] += 1j * residue
+        if accepted:
+            _symmetrized_with(name, values)
+        else:
+            with pytest.raises(ValueError, match=f"symmetrized {name} has imaginary"):
+                _symmetrized_with(name, values)
+
 class TestOutOfRange:
     @pytest.mark.parametrize("closed_form,gbar", [
         (q.cavity_susceptibilities, 1e200),

@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdetnoise as q
-from qdetnoise import core, netsolve
+from qdetnoise import constraints, core, netsolve
 from conftest import (HBARS, draw_cavity, exceptional_pair, gap_scale,
                       referred_residuals)
 
@@ -348,9 +348,11 @@ class TestConstraintReport:
         assert not any(v is q.Verdict.violation for v in report.verdicts)
 
     def test_peak_beside_the_inputs_is_a_few_columns(self, generic_params):
-        # the gap terms are walked in blocks and the residuals take the
-        # buffers of spent terms: 12.3 float columns at 50,001 points,
-        # against 20.3 when every intermediate lived to the end
+        # the gap terms are walked in blocks, S_zf symmetrized with them,
+        # the autos kept as real parts alone and the residuals put in the
+        # buffers of spent terms: 7.8 float columns at 50,001 points,
+        # against 12.3 with the whole symmetrized record and 20.3 when every
+        # intermediate lived to the end
         grid = q.make_symmetric_grid(5.0, 25_000)
         uns, susc = _engine_run(generic_params, grid, q.InputState.thermal(0.8))
         tracemalloc.start()
@@ -360,7 +362,7 @@ class TestConstraintReport:
         finally:
             tracemalloc.stop()
         columns = peak / (8 * len(grid))
-        assert columns <= 16.0, columns
+        assert columns <= 9.0, columns
         # what is left is the five residuals and the verdicts' pointers
         assert all(getattr(report, name).base is None for name in (
             "uncertainty_gap", "product_residual", "correlation_residual",
@@ -747,6 +749,156 @@ class TestAuditBoundaries:
         with pytest.raises(q.SingularNormalizationError,
                            match=f"chi_zf vanishes at omega = {omega:.6g};"):
             q.constraint_report(uns, doctored)
+
+
+def _reference_report(uns, susc):
+    """The audit as it ran on ``q.symmetrize``'s whole record, with the gap
+    terms formed over the whole grid: the oracle of its errors and bits.
+    Returns the five residuals and the ranks."""
+    hbar = susc.units.hbar
+    amplitude = np.abs(susc.chi_zf.values)
+    constraints._require_valid_detector(susc, amplitude)
+    sym = q.symmetrize(uns)
+    with np.errstate(over="ignore"):
+        signal = amplitude ** 2
+    s_zz, s_ff, s_zf = sym.s_zz.values.real, sym.s_ff.values.real, sym.s_zf.values
+    chi_zf, chi_ff = susc.chi_zf.values, susc.chi_ff.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz_ff = s_zz * s_ff
+        zf_sq = np.abs(s_zf) ** 2
+        chi_sq = 0.25 * hbar ** 2 * signal
+        im = hbar * np.imag(np.conj(s_zf) * chi_zf - chi_ff * s_zz)
+        scale = np.maximum(np.maximum(np.abs(zz_ff), zf_sq),
+                           np.maximum(chi_sq, np.abs(im)))
+        d0 = (zz_ff - zf_sq) - chi_sq
+    overflow = ~(np.isfinite(d0) & np.isfinite(scale))
+    for term in (s_zz, s_ff, s_zf, chi_zf, chi_ff):
+        overflow &= np.isfinite(term)
+    if np.any(overflow):
+        omega = uns.grid.points[np.argmax(overflow)]
+        raise ValueError(f"uncertainty gap overflows float64 at omega={omega:.9g}: "
+                         "the input spectra are out of range")
+    core._require_signal(uns.grid, np.isfinite(scale) & (
+        amplitude * (0.5 * hbar) <= np.sqrt(np.finfo(float).eps * scale)))
+    gap = d0 - np.abs(im)
+    return (gap, d0 / signal, -im / (hbar * signal),
+            core._kubo_residual(uns.s_ff, susc.chi_ff, susc.units),
+            s_ff - hbar * np.abs(chi_ff.imag),
+            constraints.classify_verdicts(
+                gap, constraints._TOL * np.maximum(scale, 1e-300)))
+
+
+def _outcome(audit, uns, susc):
+    """The type and message of what ``audit`` raises, or the bytes of its
+    residuals and ranks."""
+    try:
+        result = audit(uns, susc)
+    except Exception as exc:  # a RuntimeWarning too, as warnings are errors
+        return type(exc), str(exc)
+    if isinstance(result, q.ConstraintReport):
+        result = (result.uncertainty_gap, result.product_residual,
+                  result.correlation_residual, result.kubo_residual,
+                  result.positivity_margin, result.rank)
+    return tuple(r.tobytes() for r in result)
+
+
+@st.composite
+def _audit_inputs(draw):
+    """Unsymmetrized spectra and a valid detector's susceptibilities on a
+    small grid, doctored by up to three drawn cases, which meet so that
+    the order of the checks shows."""
+    cases = draw(st.sets(st.sampled_from([
+        "residue", "negative", "nonfinite", "large", "sum-overflow", "asymmetric"]),
+        max_size=3))
+    n = 2 * draw(st.integers(1, 5)) + 1
+    # the autos' imaginary parts are odd in frequency, so symmetrized they
+    # are zero; their real parts are positive
+    parts = {name: np.array(draw(st.lists(st.floats(lo, 4.0), min_size=n, max_size=n)))
+             for name, lo in (("zz.re", 0.1), ("zz.im", -4.0), ("zf.re", -4.0),
+                              ("zf.im", -4.0), ("ff.re", 0.1), ("ff.im", -4.0),
+                              ("chi_zf.re", 0.1), ("chi_zf.im", -4.0),
+                              ("chi_ff.re", -4.0), ("chi_ff.im", -4.0))}
+    for auto in ("zz", "ff"):
+        parts[auto + ".im"] -= parts[auto + ".im"][::-1]
+
+    def pair(name):
+        # an index and its mirror, and a part of one spectrum there
+        i = draw(st.integers(0, n - 1))
+        return draw(st.sampled_from(name)), [i, n - 1 - i]
+
+    if "large" in cases:
+        # parts up to 2^e: the gap's products overflow from e near 512
+        e = draw(st.integers(400, 1023))
+        for name in ("zz.re", "zz.im", "zf.re", "zf.im", "ff.re", "ff.im"):
+            parts[name] = np.ldexp(parts[name] / 4.0, e)
+    if "residue" in cases:
+        # the symmetrized residue at +-omega_i about _IMAG_TOL of the peak
+        auto, at = pair(["zz", "ff"])
+        peak = np.max((parts[auto + ".re"] + parts[auto + ".re"][::-1]) * 0.5)
+        factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0])) * draw(
+            st.sampled_from([1.0, -1.0]))
+        parts[auto + ".im"][at] = factor * core._IMAG_TOL * peak
+    if "negative" in cases:
+        auto, at = pair(["zz", "ff"])
+        parts[auto + ".re"][at] = -draw(st.floats(0.1, 4.0))
+    if "sum-overflow" in cases:
+        # parts whose symmetrizing sum, not conjugated, passes float64's largest
+        name, at = pair(["zz.re", "zz.im", "zf.re", "ff.re", "ff.im"])
+        parts[name][at] = np.ldexp(1.5, 1023)
+    if "nonfinite" in cases:
+        # at an index and its mirror, so that inf meets -inf in the sums
+        for _ in range(draw(st.integers(1, 3))):
+            name, at = pair(["zz.re", "zz.im", "zf.re", "zf.im", "ff.re", "ff.im"])
+            parts[name][at] = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                            min_size=2, max_size=2))
+    points = q.make_symmetric_grid(2.0, n // 2).points
+    grid = q.FrequencyGrid(points + 0.25 if "asymmetric" in cases else points)
+
+    def spectrum(name):
+        values = np.empty(n, dtype=complex)
+        values.real, values.imag = parts[name + ".re"], parts[name + ".im"]
+        return q.ComplexSpectrum(grid, values)
+
+    zero = q.ComplexSpectrum(grid, np.zeros(n))
+    uns = q.SpectraSet(grid, spectrum("zz"), spectrum("zf"), spectrum("ff"),
+                       symmetrized=False)
+    susc = q.SusceptibilitySet(grid, spectrum("chi_zf"), spectrum("chi_ff"), zero,
+                               zero, units=q.UnitConvention(draw(st.sampled_from(HBARS))))
+    return uns, susc
+
+
+class TestSameOutcomeAsTheSymmetrizedRecord:
+    """The audit forms the symmetrized spectra it reads itself; it raises
+    what it raised on ``symmetrize``'s record, or gives the same bits."""
+
+    @pytest.mark.parametrize("errstate", [
+        {}, {"over": "raise", "invalid": "raise", "divide": "raise"}],
+        ids=["warnings", "cli-errstate"])
+    @settings(max_examples=200)
+    @given(inputs=_audit_inputs())
+    def test_errors_and_bits(self, errstate, inputs):
+        with np.errstate(**errstate):
+            assert (_outcome(q.constraint_report, *inputs)
+                    == _outcome(_reference_report, *inputs))
+
+
+    def test_cross_spectrum_raises_between_the_autos(self, grid129):
+        # symmetrize adds S_zz, S_zf and S_ff in that order, so S_zf's
+        # inf + -inf is met before S_ff's overflow; the audit forms S_zf a
+        # block at a time, yet raises there too
+        ones = q.ComplexSpectrum(grid129, np.ones(len(grid129)))
+        zero = q.ComplexSpectrum(grid129, np.zeros(len(grid129)))
+        s_zf, s_ff = np.ones(len(grid129), dtype=complex), np.ones(len(grid129))
+        s_zf.imag[[0, -1]] = np.inf
+        s_ff[[0, -1]] = np.ldexp(1.5, 1023)
+        uns = q.SpectraSet(grid129, ones, q.ComplexSpectrum(grid129, s_zf),
+                           q.ComplexSpectrum(grid129, s_ff), symmetrized=False)
+        susc = q.SusceptibilitySet(grid129, ones, ones, zero, zero,
+                                   units=q.UnitConvention())
+        with pytest.raises(RuntimeWarning, match="invalid value encountered in add"):
+            _reference_report(uns, susc)
+        with pytest.raises(RuntimeWarning, match="invalid value encountered in add"):
+            q.constraint_report(uns, susc)
 
 
 class TestKuboInReport:

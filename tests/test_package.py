@@ -163,7 +163,7 @@ def test_import_loads_no_submodule(tmp_path):
       ["spectra", "--n-half=8"]], {"qdetnoise.netsolve", "qdetnoise.constraints"}),
     ([["check", "--n-half=8"]], {"qdetnoise.apps", "qdetnoise.cavity"}),
     ([["mimo-check", "--mimo-input=blocks.csv"]],
-     {"qdetnoise.apps", "qdetnoise.cavity"}),
+     {"qdetnoise.apps", "qdetnoise.cavity", "qdetnoise.netsolve"}),
 ], ids=["qubit", "qubit-mech-vacuum-spectra", "check", "mimo-check"])
 def test_commands_load_only_their_layers(runs, unused, tmp_path):
     (tmp_path / "blocks.csv").write_text(_BLOCKS_CSV)

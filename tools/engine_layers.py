@@ -26,11 +26,14 @@ resolvent pass and its block buffer, the rows one solver leaves for the
 other, the spectra form's block buffers and the seven result arrays.
 ``report_peak_mb`` is the tracemalloc peak of ``constraint_report`` on
 that run's results, traced after them, so it holds only what the audit
-makes: its intermediates, the symmetrized spectra among them, and its
-five residuals and verdicts. The networks and grid are built, and the drift diagonalised, before each timed
-run. The package is imported from the ``src`` of ``--src``, this checkout
-by default, so one script can measure two trees. One markdown table row
-is printed per case.
+makes: its intermediates and its five residuals and verdicts.
+``report_peak_cols`` is that peak in float columns of the grid (8 bytes a
+point), the unit in which ``constraint_report``'s docstring and its tier-1
+bound state it, so rows of any size compare directly. The networks and
+grid are built, and the drift diagonalised, before each timed run. The
+package is imported from the ``src`` of ``--src``, this checkout by
+default, so one script can measure two trees. One markdown table row is
+printed per case.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def measure(q, n_modes: int, points: int) -> dict:
     report_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {name: min(values) for name, values in times.items()} | {
-        "peak_mb": peak / 1e6, "report_peak_mb": report_peak / 1e6, "cond_v": cond_v}
+        "peak_mb": peak / 1e6, "report_peak_mb": report_peak / 1e6,
+        "report_peak_cols": report_peak / (8 * len(grid)), "cond_v": cond_v}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     from qdetnoise import netsolve
 
     print("| path | modes | points | cond_v | susceptibilities_s | spectra_s "
-          "| pair_s | report_s | peak_mb | report_peak_mb |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| pair_s | report_s | peak_mb | report_peak_mb | report_peak_cols |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     default_cond = netsolve._MAX_MODE_COND
     for path in args.paths:
         netsolve._MAX_MODE_COND = default_cond if path == "eigen" else -1.0
@@ -117,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"| {path} | {n_modes} | {points} | {row['cond_v']:.3g} | "
                       f"{row['susceptibilities_s']:.4g} | {row['spectra_s']:.4g} | "
                       f"{row['pair_s']:.4g} | {row['report_s']:.4g} | "
-                      f"{row['peak_mb']:.1f} | {row['report_peak_mb']:.1f} |",
+                      f"{row['peak_mb']:.1f} | {row['report_peak_mb']:.1f} | "
+                      f"{row['report_peak_cols']:.1f} |",
                       flush=True)
     return 0
 
